@@ -22,19 +22,29 @@ contains every maximal resource of the target machine.
 dropping a resource that is a subset of another current resource is safe
 because any future Rule-1/2 product grown from the subset is dominated by
 the product grown from its superset, so no maximal resource is lost.
+
+Internally resources are integer masks.  Rules 1-3 only ever place usages
+of elementary pairs in a resource (Rule 1 adds the pair, Rule 2 joins the
+pair to part of an existing resource), so those usages are numbered once
+and each resource is the set of its usages' bits.  The compatibility
+filter of Rules 1/2 is then one AND per resource, and subset pruning a
+few ANDs per candidate.  Masks are decoded to frozensets at the public
+boundary: the returned list, trace steps and ``BudgetExceeded.partial``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.elementary import (
     Resource,
+    Usage,
     elementary_pairs,
     pair_usages,
 )
 from repro.core.forbidden import ForbiddenLatencyMatrix
+from repro.errors import BudgetExceeded
 from repro.obs import trace as obs
 
 
@@ -56,22 +66,92 @@ class TraceStep:
     resources: Tuple[Resource, ...] = ()
 
 
-def _prune_subset_resources(resources: List[Resource]) -> List[Resource]:
-    """Drop resources contained in another resource of the list."""
-    ordered = sorted(set(resources), key=len, reverse=True)
-    kept: List[Resource] = []
-    for candidate in ordered:
-        if not any(candidate < existing for existing in kept):
-            kept.append(candidate)
-    # Preserve the original first-seen order among survivors.
-    survivors = set(kept)
-    result = []
-    seen = set()
-    for resource in resources:
-        if resource in survivors and resource not in seen:
-            seen.add(resource)
-            result.append(resource)
-    return result
+def popcount(mask: int) -> int:
+    """Number of set bits of ``mask`` (``int.bit_count`` needs 3.10)."""
+    return bin(mask).count("1")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _UsageBits:
+    """Numbering of usages: each usage owns one bit of a resource mask."""
+
+    def __init__(self) -> None:
+        self.usages: List[Usage] = []
+        self.masks: Dict[Usage, int] = {}
+        self._decoded: Dict[int, Resource] = {}
+
+    def mask(self, usage: Usage) -> int:
+        """The single-bit mask of ``usage``, numbering it on first sight."""
+        bit = self.masks.get(usage)
+        if bit is None:
+            bit = self.masks[usage] = 1 << len(self.usages)
+            self.usages.append(usage)
+        return bit
+
+    def compatible(self, matrix: ForbiddenLatencyMatrix) -> Dict[Usage, int]:
+        """Per numbered usage ``(X, x)``, the mask of numbered usages
+        ``(B, b)`` compatible with it: ``x - b`` is in ``F[B][X]``."""
+        operations = matrix.operations
+        result = {}
+        for usage in self.usages:
+            op_x, cycle_x = usage
+            mask = 0
+            for op in operations:
+                for latency in matrix.latencies(op, op_x):
+                    mask |= self.masks.get((op, cycle_x - latency), 0)
+            result[usage] = mask
+        return result
+
+    def operation_mask(self, op: str) -> int:
+        """The mask of every numbered usage of ``op``."""
+        return sum(bit for (name, _), bit in self.masks.items() if name == op)
+
+    def decode(self, mask: Optional[int]) -> Optional[Resource]:
+        if mask is None:
+            return None
+        resource = self._decoded.get(mask)
+        if resource is None:
+            resource = frozenset(self.usages[i] for i in _bits(mask))
+            self._decoded[mask] = resource
+        return resource
+
+    def decode_all(self, masks: List[int]) -> List[Resource]:
+        return [self.decode(mask) for mask in masks]
+
+
+def _prune_subset_masks(masks: List[int]) -> List[int]:
+    """Drop masks contained in another mask of the list.
+
+    Survivors keep their first-seen order and duplicates collapse.  Larger
+    masks are visited first, so a mask can only be contained in one that
+    is already kept; ``holders`` maps each usage bit to the bitset of kept
+    slots holding it, and a mask is contained in a kept one exactly when
+    the AND of its bits' holders is non-zero.
+    """
+    distinct = list(dict.fromkeys(masks))
+    holders: Dict[int, int] = {}
+    kept = set()
+    for mask in sorted(distinct, key=popcount, reverse=True):
+        slot = 1 << len(kept)
+        containing = slot - 1
+        bits = list(_bits(mask))
+        for bit in bits:
+            containing &= holders.get(bit, 0)
+            if not containing:
+                break
+        if containing:
+            continue
+        kept.add(mask)
+        for bit in bits:
+            holders[bit] = holders.get(bit, 0) | slot
+    return [mask for mask in distinct if mask in kept]
 
 
 def build_generating_set(
@@ -99,116 +179,124 @@ def build_generating_set(
         ``"generating_set"``, the number of pairs processed, and the
         resource list grown so far as its partial result.
     """
-    resources: List[Resource] = []
     worklist = elementary_pairs(matrix)
-    operations = matrix.operations
+    bits = _UsageBits()
+    anchored = []
+    for pair in worklist:
+        u0, u1 = pair_usages(pair)
+        anchored.append((u0, u1, bits.mask(u0) | bits.mask(u1)))
+    compatible = bits.compatible(matrix)
+    decode = bits.decode
+
+    resources: List[int] = []
     tracer = obs.current()
     if tracer is not None:
         tracer.count("reduce.algorithm1.pairs", len(worklist))
-    for processed, pair in enumerate(worklist, start=1):
-        if budget is not None:
-            budget.checkpoint(
-                "generating_set",
-                units=1 + len(resources),
-                progress="%d/%d pairs" % (processed - 1, len(worklist)),
-                partial=list(resources),
-            )
-        step = TraceStep(pair=pair) if trace is not None else None
-        u0, u1 = pair_usages(pair)
-        # Hot path: precompute, per operation, the set of cycles at which
-        # a usage is compatible with BOTH usages of this pair.  A usage
-        # (B, b) is compatible with (X, x) iff (x - b) is in F[B][X], so
-        # the per-operation set is an intersection of two shifted
-        # forbidden sets and each membership test below is one lookup.
-        op_x, cycle_x = u0
-        op_y, cycle_y = u1
-        allowed = {}
-        for op in operations:
-            with_first = {
-                cycle_x - g for g in matrix.latencies(op, op_x)
-            }
-            with_second = {
-                cycle_y - g for g in matrix.latencies(op, op_y)
-            }
-            common = with_first & with_second
-            if common:
-                allowed[op] = common
-        found_together = False
-        additions: List[Resource] = []
-        for index, current in enumerate(resources):
-            compatible = frozenset(
-                u for u in current if u[1] in allowed.get(u[0], ())
-            )
-            if len(compatible) == len(current):
-                # Rule 1: fully compatible -> merge the pair in.
-                merged = current | pair
-                resources[index] = merged
-                found_together = True
-                if tracer is not None:
-                    tracer.count("reduce.algorithm1.rule1")
-                if step is not None:
-                    step.applications.append(RuleApplication(1, current, merged))
-            else:
-                # Rule 2: partially compatible -> candidate new resource.
-                candidate = pair | compatible
-                if candidate != pair:
-                    additions.append(candidate)
+    # Rule firings are tallied locally and flushed once, even when the
+    # budget runs out part-way.
+    rule1 = rule2 = rule3 = rule4 = 0
+    subset_pruned = None
+    try:
+        for processed, pair in enumerate(worklist, start=1):
+            if budget is not None:
+                try:
+                    budget.checkpoint(
+                        "generating_set",
+                        units=1 + len(resources),
+                        progress="%d/%d pairs" % (processed - 1, len(worklist)),
+                    )
+                except BudgetExceeded as exc:
+                    exc.partial = bits.decode_all(resources)
+                    raise
+            u0, u1, pair_mask = anchored[processed - 1]
+            # Usages compatible with BOTH usages of the pair.
+            allowed = compatible[u0] & compatible[u1]
+            applications = [] if trace is not None else None
+            found_together = False
+            additions: List[int] = []
+            for index, current in enumerate(resources):
+                common = current & allowed
+                if common == current:
+                    # Rule 1: fully compatible -> merge the pair in.
+                    merged = current | pair_mask
+                    resources[index] = merged
                     found_together = True
-                    if tracer is not None:
-                        tracer.count("reduce.algorithm1.rule2")
-                    if step is not None:
-                        step.applications.append(
-                            RuleApplication(2, current, candidate)
-                        )
-                elif step is not None:
-                    step.applications.append(RuleApplication(2, current, None))
-        existing = set(resources)
-        for candidate in additions:
-            if candidate not in existing:
-                existing.add(candidate)
-                resources.append(candidate)
-        if not found_together:
-            # Rule 3: the pair starts a resource of its own.
-            if pair not in existing:
-                resources.append(pair)
-            if tracer is not None:
-                tracer.count("reduce.algorithm1.rule3")
-            if step is not None:
-                step.applications.append(RuleApplication(3, None, pair))
-        if prune_subsets_every and processed % prune_subsets_every == 0:
-            before = len(resources)
-            resources = _prune_subset_resources(resources)
-            if tracer is not None:
-                tracer.count("reduce.algorithm1.subset_pruned",
-                             before - len(resources))
-        if step is not None:
-            step.resources = tuple(resources)
-            trace(step)
-
-    # Rule 4: operations whose only forbidden latency is 0 in F[X][X].
-    for op in matrix.operations:
-        self_latencies = matrix.latencies(op, op)
-        if self_latencies != frozenset({0}):
-            continue
-        others = any(
-            (matrix.latencies(op, other) or matrix.latencies(other, op))
-            for other in matrix.operations
-            if other != op
-        )
-        if others:
-            continue
-        singleton = frozenset({(op, 0)})
-        if not any(any(u[0] == op for u in resource) for resource in resources):
-            resources.append(singleton)
-            if tracer is not None:
-                tracer.count("reduce.algorithm1.rule4")
+                    rule1 += 1
+                    if applications is not None:
+                        applications.append((1, current, merged))
+                else:
+                    # Rule 2: partially compatible -> candidate new resource.
+                    candidate = pair_mask | common
+                    if candidate != pair_mask:
+                        additions.append(candidate)
+                        found_together = True
+                        rule2 += 1
+                        if applications is not None:
+                            applications.append((2, current, candidate))
+                    elif applications is not None:
+                        applications.append((2, current, None))
+            if additions:
+                existing = set(resources)
+                for candidate in additions:
+                    if candidate not in existing:
+                        existing.add(candidate)
+                        resources.append(candidate)
+            if not found_together:
+                # Rule 3: the pair starts a resource of its own.
+                if pair_mask not in resources:
+                    resources.append(pair_mask)
+                rule3 += 1
+                if applications is not None:
+                    applications.append((3, None, pair_mask))
+            if prune_subsets_every and processed % prune_subsets_every == 0:
+                before = len(resources)
+                resources = _prune_subset_masks(resources)
+                subset_pruned = (subset_pruned or 0) + before - len(resources)
             if trace is not None:
                 trace(
                     TraceStep(
-                        pair=singleton,
-                        applications=[RuleApplication(4, None, singleton)],
-                        resources=tuple(resources),
+                        pair=pair,
+                        applications=[
+                            RuleApplication(rule, decode(target), decode(result))
+                            for rule, target, result in applications
+                        ],
+                        resources=tuple(bits.decode_all(resources)),
                     )
                 )
 
-    return _prune_subset_resources(resources)
+        # Rule 4: operations whose only forbidden latency is 0 in F[X][X].
+        for op in matrix.operations:
+            self_latencies = matrix.latencies(op, op)
+            if self_latencies != frozenset({0}):
+                continue
+            others = any(
+                (matrix.latencies(op, other) or matrix.latencies(other, op))
+                for other in matrix.operations
+                if other != op
+            )
+            if others:
+                continue
+            op_mask = bits.operation_mask(op)
+            if not any(resource & op_mask for resource in resources):
+                singleton = bits.mask((op, 0))
+                resources.append(singleton)
+                rule4 += 1
+                if trace is not None:
+                    trace(
+                        TraceStep(
+                            pair=decode(singleton),
+                            applications=[
+                                RuleApplication(4, None, decode(singleton))
+                            ],
+                            resources=tuple(bits.decode_all(resources)),
+                        )
+                    )
+    finally:
+        if tracer is not None:
+            for rule, fired in enumerate((rule1, rule2, rule3, rule4), start=1):
+                if fired:
+                    tracer.count("reduce.algorithm1.rule%d" % rule, fired)
+            if subset_pruned is not None:
+                tracer.count("reduce.algorithm1.subset_pruned", subset_pruned)
+
+    return bits.decode_all(_prune_subset_masks(resources))

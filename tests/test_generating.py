@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 — the generating set of maximal resources."""
 
+import pytest
+
 from repro.core import (
     ForbiddenLatencyMatrix,
     MachineDescription,
@@ -140,3 +142,71 @@ class TestCoverage:
         for resource in build_generating_set(matrix):
             covered |= generated_instances(resource)
         assert covered >= set(matrix.instances())
+
+
+def _reference_generating_set(matrix, prune_subsets_every):
+    """Algorithm 1 over frozensets, exactly as the paper states it: the
+    reference the integer-mask implementation must match, order included."""
+    from repro.core import elementary_pairs
+    from repro.core.elementary import pair_usages, usages_compatible
+
+    def prune(resources):
+        distinct = list(dict.fromkeys(resources))
+        return [r for r in distinct if not any(r < other for other in distinct)]
+
+    resources = []
+    for processed, pair in enumerate(elementary_pairs(matrix), start=1):
+        u0, u1 = pair_usages(pair)
+        found_together = False
+        additions = []
+        for index, current in enumerate(resources):
+            compatible = frozenset(
+                u for u in current
+                if usages_compatible(u, u0, matrix)
+                and usages_compatible(u, u1, matrix)
+            )
+            if compatible == current:
+                resources[index] = current | pair
+                found_together = True
+            elif pair | compatible != pair:
+                additions.append(pair | compatible)
+                found_together = True
+        for candidate in additions:
+            if candidate not in resources:
+                resources.append(candidate)
+        if not found_together and pair not in resources:
+            resources.append(pair)
+        if prune_subsets_every and processed % prune_subsets_every == 0:
+            resources = prune(resources)
+    for op in matrix.operations:
+        if matrix.latencies(op, op) != frozenset({0}):
+            continue
+        if any(
+            matrix.latencies(op, other) or matrix.latencies(other, op)
+            for other in matrix.operations if other != op
+        ):
+            continue
+        if not any(usage[0] == op for r in resources for usage in r):
+            resources.append(frozenset({(op, 0)}))
+    return prune(resources)
+
+
+class TestFrozensetReference:
+    """The mask implementation returns the reference's list, in order, on
+    generated machines and under every pruning period."""
+
+    @pytest.mark.parametrize("profile, seeds", [
+        ("tiny", range(12)),
+        ("mixed", range(12)),
+        ("clustered-vliw", range(12)),
+        ("deep", (5, 8, 10, 11)),
+    ])
+    @pytest.mark.parametrize("every", [None, 1, 3, 64])
+    def test_matches_reference(self, profile, seeds, every):
+        from repro.fuzz.mdlgen import PROFILES, generate_machine
+
+        for seed in seeds:
+            matrix = _matrix(generate_machine(seed, PROFILES[profile]))
+            assert build_generating_set(matrix, every) == (
+                _reference_generating_set(matrix, every)
+            ), (profile, seed)

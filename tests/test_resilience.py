@@ -113,6 +113,40 @@ class TestBudgetedPipeline:
         assert isinstance(exc.partial, dict)
         assert "pool" in exc.partial and exc.partial["pool"]
         assert exc.partial["total"] >= exc.partial["covered"] >= 0
+        assert all(
+            isinstance(i, int) and isinstance(usages, set)
+            for i, usages in exc.partial["selected"].items()
+        )
+
+    def test_capped_selection_hands_ladder_the_pool(self, monkeypatch):
+        """The partially-selected rung serves the pool carried by the
+        selection-phase BudgetExceeded, without rebuilding it."""
+        from repro.core import (
+            ForbiddenLatencyMatrix,
+            build_generating_set,
+            prune_covered_resources,
+        )
+        from repro.resilience import fallback
+
+        machine = cydra5_subset()
+        pool = prune_covered_resources(
+            build_generating_set(ForbiddenLatencyMatrix.from_machine(machine))
+        )
+        with pytest.raises(BudgetExceeded) as info:
+            reduce_machine(machine, budget=Budget(max_units=200))
+        assert info.value.partial["pool"] == pool
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the ladder rebuilt the generating set")
+
+        monkeypatch.setattr(fallback, "build_generating_set", rebuilt)
+        outcome = reduce_with_fallback(machine, FallbackPolicy(max_units=200))
+        assert outcome.rung == RUNG_PARTIAL
+        assert outcome.verified
+        assert outcome.attempts[-1].detail == (
+            "full generating-set selection (%d resources)" % len(pool)
+        )
+        assert outcome.machine.num_resources == len(pool)
 
 
 class TestAtomicWrite:
