@@ -18,12 +18,10 @@ repo-root ``BENCH_runs.json`` headline trajectory (when present) so
 import os
 import time
 
-import pytest
 from conftest import BENCH_LOOPS
 
 from repro.bench import BenchCase, load_result, save_result
 from repro.bench.stats import summarize
-from repro.query.batch import batch_backend
 from repro.scheduler.corpus import CorpusScheduler
 from repro.workloads import loop_suite
 
@@ -99,7 +97,6 @@ def test_corpus_batch_check_path_at_least_5x_cheaper(machines, record):
     data = {
         "machine": machine.name,
         "loops": len(graphs),
-        "backend": batch.backend,
         "floor": FLOOR,
         "check_path_currencies": list(CHECK_PATH),
         "check_path_units": {
@@ -117,7 +114,7 @@ def test_corpus_batch_check_path_at_least_5x_cheaper(machines, record):
         "work": {mode: _work_map(run.work) for mode, run in runs.items()},
     }
     text = (
-        "corpus-scale batch scheduling (%d-loop suite on %s, %s backend)\n"
+        "corpus-scale batch scheduling (%d-loop suite on %s)\n"
         "  check path (check+check_range+first_free+batch units)\n"
         "    per-loop compiled   %10d units   %8.3fs\n"
         "    corpus batch        %10d units   %8.3fs\n"
@@ -125,7 +122,7 @@ def test_corpus_batch_check_path_at_least_5x_cheaper(machines, record):
         "  compile units         %10d -> %d  (%.1fx, shared kernel)\n"
         "  schedules             byte-identical (%d loops, %d at MII)\n"
         % (
-            len(graphs), machine.name, batch.backend,
+            len(graphs), machine.name,
             perloop_units, walls["corpus-perloop"],
             batch_units, walls["corpus-batch"],
             ratio, FLOOR,
@@ -137,8 +134,7 @@ def test_corpus_batch_check_path_at_least_5x_cheaper(machines, record):
     )
     record(
         "corpus", text, data=data,
-        meta={"machine": machine.name, "loops": len(graphs),
-              "backend": batch.backend},
+        meta={"machine": machine.name, "loops": len(graphs)},
     )
 
     # Append the corpus cells to the repo-root headline trajectory so
@@ -158,31 +154,3 @@ def test_corpus_batch_check_path_at_least_5x_cheaper(machines, record):
         reloaded = load_result(HEADLINE)
         assert "%s/corpus-batch" % machine.name in reloaded.cases
 
-
-def test_backends_agree_when_numpy_present(machines):
-    """Pure-python columns must replay numpy's schedules and units.
-
-    Runs only where numpy is importable (otherwise the whole suite
-    already exercises the pure backend); a forced pure-backend corpus
-    pass over a small suite must produce identical signatures and
-    identical merged work counters.
-    """
-    if batch_backend() != "numpy":
-        pytest.skip("numpy not importable; pure backend already in use")
-
-    machine = machines["cydra5-subset"]
-    graphs = loop_suite(32)
-    with_numpy = CorpusScheduler(machine).schedule_suite(graphs)
-    forced = os.environ.get("REPRO_BATCH_BACKEND")
-    os.environ["REPRO_BATCH_BACKEND"] = "pure"
-    try:
-        pure = CorpusScheduler(machine).schedule_suite(graphs)
-    finally:
-        if forced is None:
-            os.environ.pop("REPRO_BATCH_BACKEND", None)
-        else:
-            os.environ["REPRO_BATCH_BACKEND"] = forced
-    assert pure.backend == "pure" and with_numpy.backend == "numpy"
-    assert pure.signatures() == with_numpy.signatures()
-    assert dict(pure.work.units) == dict(with_numpy.work.units)
-    assert dict(pure.work.calls) == dict(with_numpy.work.calls)

@@ -34,11 +34,11 @@ from repro.bench.stats import summarize
 from repro.obs.export import exclusive_times
 from repro.obs.profile import profile_machine, workload_for
 from repro.obs.trace import Tracer
+from repro.query.modulo import REPRESENTATIONS
 from repro.scheduler.corpus import CorpusScheduler
 
 #: The default matrix: both study-scale machines, all representations.
 DEFAULT_MACHINES = ("example", "cydra5-subset")
-DEFAULT_REPRESENTATIONS = ("discrete", "bitvector", "compiled")
 DEFAULT_LOOPS = 8
 DEFAULT_REPETITIONS = 5
 
@@ -272,7 +272,7 @@ def run_corpus_case(
 
 def run_benchmark(
     machines: Sequence[Tuple[str, object]],
-    representations: Sequence[str] = DEFAULT_REPRESENTATIONS,
+    representations: Sequence[str] = REPRESENTATIONS,
     loops: int = DEFAULT_LOOPS,
     repetitions: int = DEFAULT_REPETITIONS,
     schedule_reduced: bool = False,
@@ -346,7 +346,6 @@ __all__ = [
     "DEFAULT_LOOPS",
     "DEFAULT_MACHINES",
     "DEFAULT_REPETITIONS",
-    "DEFAULT_REPRESENTATIONS",
     "QUICK_CORPUS_LOOPS",
     "QUICK_LOOPS",
     "QUICK_MACHINES",

@@ -89,6 +89,7 @@ from repro.machines import (
     example_machine,
     playdoh,
 )
+from repro.query.modulo import ALL_REPRESENTATIONS, BATCH, REPRESENTATIONS
 from repro.scheduler import IterativeModuloScheduler
 from repro.stats import describe
 from repro.workloads import KERNELS, loop_suite
@@ -716,12 +717,10 @@ def _cmd_schedule_corpus(args: argparse.Namespace, machine) -> int:
             % (result.scheduled, result.degraded, result.failed,
                len(result.outcomes), optimal)
         )
-        if result.backend is not None:
+        if result.representation == BATCH:
             print(
-                "batch plane: %s backend, %d batch units,"
-                " %d compile units"
-                % (result.backend, result.work.units["batch"],
-                   result.work.units["compile"])
+                "batch plane: %d batch units, %d compile units"
+                % (result.work.units["batch"], result.work.units["compile"])
             )
     _runlog_work(result.work)
     return 1 if result.failed else 0
@@ -1128,8 +1127,6 @@ def _bench_machines(args: argparse.Namespace):
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import render_result_text, save_result
     from repro.bench import runner
-
-    from repro.query import REPRESENTATIONS
 
     machines = _bench_machines(args)
     representations = [
@@ -1776,7 +1773,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--representation",
-        choices=("discrete", "bitvector", "compiled"),
+        choices=REPRESENTATIONS,
         default="discrete",
     )
     p.add_argument("--word-cycles", type=int, default=1)
@@ -1846,10 +1843,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--representations",
-        default="discrete,bitvector,compiled",
+        default=",".join(REPRESENTATIONS),
         metavar="R[,R]",
         help="query representations to matrix over"
-        " (default: discrete,bitvector,compiled)",
+        " (default: %s)" % ",".join(REPRESENTATIONS),
     )
     b.add_argument(
         "--filter",
@@ -2046,7 +2043,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loops", type=int, default=20)
     p.add_argument(
         "--representation",
-        choices=("discrete", "bitvector", "compiled", "batch"),
+        choices=ALL_REPRESENTATIONS,
         default=None,
         help="query representation (default: discrete, or batch"
         " with --corpus)",
@@ -2093,7 +2090,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loops", type=int, default=8)
     p.add_argument(
         "--representation",
-        choices=("discrete", "bitvector", "compiled"),
+        choices=REPRESENTATIONS,
         default="discrete",
     )
     p.add_argument("--word-cycles", type=int, default=1)

@@ -39,10 +39,10 @@ QUERY_ATTRIBUTE = "attribute"
 #: units registry (``query.sample.units``) so exporters and the bench
 #: comparator see sampler work next to query work.
 QUERY_SAMPLE = "sample"
-#: Columnar batch-plane kernels (:mod:`repro.query.batch`): the bulk
-#: entry points (``check_matrix`` / ``first_free_bulk``) get observed
-#: overrides; column maintenance inside ``assign``/``free`` shares the
-#: currency and is visible through those timers' unit deltas.
+#: Columnar batch-plane work (:mod:`repro.query.batch`).  Not a query
+#: method — batch window scans run under the ``check_range`` /
+#: ``first_free`` timers — but the currency shares the units registry
+#: (``query.batch.units``).
 QUERY_BATCH = "batch"
 QUERY_FUNCTIONS = (
     QUERY_CHECK,
@@ -125,8 +125,6 @@ def observed_class(cls: Type) -> Type:
             "first_free", QUERY_FIRST_FREE, units_function=QUERY_CHECK_RANGE
         ),
         "check_attributed": _timed("check_attributed", QUERY_ATTRIBUTE),
-        "check_matrix": _timed("check_matrix", QUERY_BATCH),
-        "first_free_bulk": _timed("first_free_bulk", QUERY_BATCH),
     }
     derived = type("Observed" + cls.__name__, (cls,), namespace)
     _OBSERVED[cls] = derived

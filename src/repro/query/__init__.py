@@ -15,9 +15,8 @@ paper's Section 5 pair plus a compiled kernel:
   table walk per window cycle.
 * :class:`BatchQueryModule` — the columnar batch plane over the
   compiled kernel: per-class blocked columns are maintained
-  incrementally across assigns/frees (numpy arrays when importable,
-  pure-python packed-int columns otherwise — bit-identical either
-  way), so any window scan is an O(1) column fetch charged to the
+  incrementally across assigns/frees as packed-int columns, so any
+  window scan is an O(1) column fetch charged to the
   ``batch`` currency, and whole corpora share one compiled kernel via
   :class:`SharedCompilation`.
 
@@ -43,9 +42,7 @@ from repro.query.base import (
 from repro.query.batch import (
     BatchQueryModule,
     SharedCompilation,
-    batch_backend,
     machine_digest,
-    numpy_available,
 )
 from repro.query.bitvector import BitvectorQueryModule
 from repro.query.compiled import (
@@ -88,9 +85,7 @@ __all__ = [
     "BATCH",
     "BatchQueryModule",
     "SharedCompilation",
-    "batch_backend",
     "machine_digest",
-    "numpy_available",
     "BLAME_RESERVED",
     "BLAME_SELF",
     "Blame",

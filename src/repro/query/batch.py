@@ -1,45 +1,32 @@
-"""Columnar batch plane: corpus-scale contention queries (ROADMAP item 3).
+"""Columnar batch plane: corpus-scale contention queries.
 
 The compiled representation (:mod:`repro.query.compiled`) answers one
 window scan by OR-ing one shifted collision bitset per *distinct live
 (class, cycle) pair* — cost proportional to the partial schedule.  This
 module keeps that OR **incrementally materialized**: per operation
 class, a column of per-slot conflict *counts* is updated on every
-``assign``/``free`` (one vectorized column addition), so any window scan
-is an O(1) fetch of the class column no matter how many operations are
-live.
+``assign``/``free`` (one update per target class column), so any
+window scan is an O(1) fetch of the class column no matter how many
+operations are live.
 
-Layout: the counts form an N-slots x M-classes matrix — N = II for a
-modulo reservation table (the ring the corpus scheduler lives on), or a
-bias-grown cycle axis for scalar tables.  Two interchangeable backends
-hold the ring matrix:
-
-* **numpy** (when importable): one ``(classes, II)`` integer array;
-  an assign is one rolled matrix addition, a column fetch packs the
-  nonzero lanes back into the big-int the compiled window math expects.
-* **pure** (always available): per-class packed big-int columns with a
-  slot-count dict — no dependencies, bit-identical results.
-
-``REPRO_BATCH_BACKEND`` (``auto``/``numpy``/``pure``) forces the choice;
-backends are *bit-identical* by construction (both derive the same
-blocked big-ints, and work is charged from logical events, never from
-backend internals), so schedules and ``batch`` unit counts never depend
-on whether numpy is installed.  Scalar (non-modulo) columns use the
-packed-int implementation under both backends — the corpus hot path is
-the modulo ring.
+Layout: per class, a packed big-int column of blocked slots plus a
+slot-count dict, so a free clears a bit only when its last conflict
+goes.  The slot axis is the II ring for a modulo reservation table (the
+ring the corpus scheduler lives on), or a bias-grown cycle axis for
+scalar tables.
 
 Work currency: the read path charges the ``batch`` currency.  A lone
-window scan costs one unit (one column fetch); a bulk invocation
-(``check_matrix`` / ``first_free_bulk`` / the alternatives scan) costs
-one unit in modulo mode — a *single* vectorized ring-matrix fetch
-(:meth:`rings_of <._NumpyRingColumns.rings_of>`) covers every class the
-invocation touches — and one unit per distinct class column in scalar
-mode, where columns are independent packed integers.  Column
-*maintenance* is write-path cost: each assign/free tops up the
-triggering call's own ``assign``/``assign&free``/``free`` units by one
-per column update, so the check-path currencies (``check`` +
-``check_range`` + ``first_free`` + ``batch``) stay a pure read-path
-measure, comparable against the per-loop numbers they replace.
+window scan costs one unit (one column fetch).  The alternatives scan
+(:meth:`BatchQueryModule.first_free_with_alternatives`) is one bulk
+invocation: it costs one unit in modulo mode, where every class ring is
+kept current and reading it is O(1), and one unit per distinct class
+column in scalar mode, where each window is shifted out of its own
+bias-grown column.  Column *maintenance* is write-path cost: each
+assign/free tops up the triggering call's own
+``assign``/``assign&free``/``free`` units by one per column update, so
+the check-path currencies (``check`` + ``check_range`` + ``first_free``
++ ``batch``) stay a pure read-path measure, comparable against the
+per-loop numbers they replace.
 
 Schedules are byte-identical to the compiled module's: the blocked
 window a column fetch yields equals the compiled OR (a slot's count is
@@ -56,61 +43,13 @@ per corpus instead of once per loop per II attempt.
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.machine import MachineDescription
-from repro.errors import QueryError
 from repro.query.alternatives import ROUND_ROBIN, order_variants
 from repro.query.base import ScheduledToken
 from repro.query.compiled import CompiledQueryModule, compiled_kernel
 from repro.query.work import ASSIGN, ASSIGN_FREE, BATCH, FREE
-
-#: Environment override for the column backend: ``auto`` (default),
-#: ``numpy``, or ``pure``.
-BACKEND_ENV = "REPRO_BATCH_BACKEND"
-BACKEND_NUMPY = "numpy"
-BACKEND_PURE = "pure"
-
-_NUMPY = None
-_NUMPY_PROBED = False
-
-
-def _numpy_module():
-    """The numpy module, or ``None`` when not importable (probed once)."""
-    global _NUMPY, _NUMPY_PROBED
-    if not _NUMPY_PROBED:
-        _NUMPY_PROBED = True
-        try:
-            import numpy
-        except ImportError:
-            _NUMPY = None
-        else:
-            _NUMPY = numpy
-    return _NUMPY
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be selected."""
-    return _numpy_module() is not None
-
-
-def batch_backend() -> str:
-    """Resolve the column backend name (env override, then autodetect)."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return BACKEND_NUMPY if numpy_available() else BACKEND_PURE
-    if choice == BACKEND_NUMPY:
-        if not numpy_available():
-            raise QueryError(
-                "%s=numpy but numpy is not importable" % BACKEND_ENV
-            )
-        return BACKEND_NUMPY
-    if choice == BACKEND_PURE:
-        return BACKEND_PURE
-    raise QueryError(
-        "unknown batch backend %r (expected auto, numpy, or pure)" % choice
-    )
 
 
 def machine_digest(machine: MachineDescription) -> str:
@@ -125,39 +64,8 @@ def machine_digest(machine: MachineDescription) -> str:
     return hashlib.sha256(dumps(machine).encode("utf-8")).hexdigest()
 
 
-class _ClassIncrement:
-    """Per-source-class column increment: one ring per target class.
-
-    ``rings[x]`` is the packed bitset the source class contributes to
-    target class ``x``'s column (before rotation/shift to the source's
-    cycle).  The numpy indicator matrix is derived lazily.
-    """
-
-    __slots__ = ("rings", "_matrix")
-
-    def __init__(self, rings: List[int]):
-        self.rings = rings
-        self._matrix = None
-
-    def matrix(self, slots: int):
-        """The ``(classes, slots)`` 0/1 indicator array (numpy only)."""
-        if self._matrix is None:
-            np = _numpy_module()
-            mat = np.zeros((len(self.rings), slots), dtype=np.int64)
-            for index, ring in enumerate(self.rings):
-                bits = ring
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    mat[index, low.bit_length() - 1] = 1
-            self._matrix = mat
-        return self._matrix
-
-
 class _PureRingColumns:
     """Modulo ring columns: packed big-int per class + slot counts."""
-
-    name = BACKEND_PURE
 
     def __init__(self, num_classes: int, slots: int):
         self.slots = slots
@@ -174,8 +82,8 @@ class _PureRingColumns:
             (1 << slots) - 1
         )
 
-    def add(self, incr: _ClassIncrement, rotation: int) -> None:
-        for index, ring in enumerate(incr.rings):
+    def add(self, rings: List[int], rotation: int) -> None:
+        for index, ring in enumerate(rings):
             if not ring:
                 continue
             bits = self._rotated(ring, rotation)
@@ -189,8 +97,8 @@ class _PureRingColumns:
                 if count == 1:
                     self._rings[index] |= low
 
-    def sub(self, incr: _ClassIncrement, rotation: int) -> None:
-        for index, ring in enumerate(incr.rings):
+    def sub(self, rings: List[int], rotation: int) -> None:
+        for index, ring in enumerate(rings):
             if not ring:
                 continue
             bits = self._rotated(ring, rotation)
@@ -209,68 +117,19 @@ class _PureRingColumns:
     def ring(self, class_index: int) -> int:
         return self._rings[class_index]
 
-    def rings_of(self, class_indices: Sequence[int]) -> List[int]:
-        """Many rings in one fetch — O(1) each, maintained incrementally."""
-        return [self._rings[index] for index in class_indices]
-
     def clear(self) -> None:
         for counts in self._counts:
             counts.clear()
         self._rings = [0] * len(self._rings)
 
 
-class _NumpyRingColumns:
-    """Modulo ring columns: one ``(classes, slots)`` count matrix."""
-
-    name = BACKEND_NUMPY
-
-    def __init__(self, num_classes: int, slots: int):
-        np = _numpy_module()
-        self.slots = slots
-        self._counts = np.zeros((num_classes, slots), dtype=np.int64)
-
-    def add(self, incr: _ClassIncrement, rotation: int) -> None:
-        np = _numpy_module()
-        self._counts += np.roll(incr.matrix(self.slots), rotation, axis=1)
-
-    def sub(self, incr: _ClassIncrement, rotation: int) -> None:
-        np = _numpy_module()
-        self._counts -= np.roll(incr.matrix(self.slots), rotation, axis=1)
-
-    def ring(self, class_index: int) -> int:
-        np = _numpy_module()
-        packed = np.packbits(
-            self._counts[class_index] > 0, bitorder="little"
-        )
-        return int.from_bytes(packed.tobytes(), "little")
-
-    def rings_of(self, class_indices: Sequence[int]) -> List[int]:
-        """Many rings in one vectorized fetch: a single sub-matrix
-        compare + packbits over all requested rows at once."""
-        np = _numpy_module()
-        packed = np.packbits(
-            self._counts[list(class_indices)] > 0,
-            axis=1, bitorder="little",
-        )
-        return [
-            int.from_bytes(row.tobytes(), "little") for row in packed
-        ]
-
-    def clear(self) -> None:
-        self._counts[:] = 0
-
-
 class _ScalarColumns:
     """Scalar (non-modulo) columns: bias-grown packed-int per class.
 
-    Used by both backends — the scalar axis is unbounded, so the
-    packed-int representation (identical to the compiled reserved
-    table's bias scheme) is the natural store.  Positions are kept
-    unbiased in the count keys; the packed column grows its bias like
-    the compiled module's reserved integer.
+    The scalar axis is unbounded.  Positions are kept unbiased in the
+    count keys; the packed column grows its bias like the compiled
+    module's reserved integer.
     """
-
-    name = "scalar"
 
     def __init__(self, num_classes: int):
         self._counts: List[Dict[int, int]] = [
@@ -286,8 +145,8 @@ class _ScalarColumns:
             self._columns = [col << grow for col in self._columns]
             self._bias += grow
 
-    def add(self, incr: _ClassIncrement, base: int) -> None:
-        for index, bits in enumerate(incr.rings):
+    def add(self, rings: List[int], base: int) -> None:
+        for index, bits in enumerate(rings):
             if not bits:
                 continue
             counts = self._counts[index]
@@ -302,8 +161,8 @@ class _ScalarColumns:
                     self._grow(position)
                     self._columns[index] |= 1 << (position + self._bias)
 
-    def sub(self, incr: _ClassIncrement, base: int) -> None:
-        for index, bits in enumerate(incr.rings):
+    def sub(self, rings: List[int], base: int) -> None:
+        for index, bits in enumerate(rings):
             if not bits:
                 continue
             counts = self._counts[index]
@@ -365,7 +224,7 @@ class SharedCompilation:
         self._folds: Dict[Optional[int], Dict] = {}
         self._pairs: Dict[Optional[int], Dict] = {}
         self._self_conflicts: Dict[Optional[int], Dict[str, bool]] = {}
-        self._increments: Dict[Optional[int], Dict[str, _ClassIncrement]] = {}
+        self._increments: Dict[Optional[int], Dict[str, List[int]]] = {}
 
     def mark_kernel_charged(self) -> bool:
         """True exactly once, when the kernel build should be charged."""
@@ -383,9 +242,7 @@ class SharedCompilation:
     def self_conflicts(self, modulo: Optional[int]) -> Dict[str, bool]:
         return self._self_conflicts.setdefault(modulo, {})
 
-    def increments(
-        self, modulo: Optional[int]
-    ) -> Dict[str, _ClassIncrement]:
+    def increments(self, modulo: Optional[int]) -> Dict[str, List[int]]:
         return self._increments.setdefault(modulo, {})
 
 
@@ -431,17 +288,10 @@ class BatchQueryModule(CompiledQueryModule):
         self._class_index = {
             rep: index for index, rep in enumerate(self._classes)
         }
-        self.backend = batch_backend()
         if modulo is not None:
-            if self.backend == BACKEND_NUMPY:
-                self._cols = _NumpyRingColumns(len(self._classes), modulo)
-            else:
-                self._cols = _PureRingColumns(len(self._classes), modulo)
+            self._cols = _PureRingColumns(len(self._classes), modulo)
         else:
             self._cols = _ScalarColumns(len(self._classes))
-        #: Active bulk invocation's vectorized ring fetch (modulo mode):
-        #: ``class_index -> ring``, or ``None`` outside bulk calls.
-        self._ring_prefetch: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Shared-compilation charging
@@ -456,9 +306,14 @@ class BatchQueryModule(CompiledQueryModule):
     # ------------------------------------------------------------------
     # Column maintenance (the batch plane's write path)
     # ------------------------------------------------------------------
-    def _increment_of(self, rep_y: str) -> _ClassIncrement:
-        incr = self._increments.get(rep_y)
-        if incr is None:
+    def _increment_of(self, rep_y: str) -> List[int]:
+        """Source class ``rep_y``'s contribution to every class column.
+
+        Entry ``x`` is the packed bitset the source adds to target class
+        ``x``'s column, before rotation/shift to the source's cycle.
+        """
+        rings = self._increments.get(rep_y)
+        if rings is None:
             if self.modulo is not None:
                 rings = [
                     self._pair_ring(rep_x, rep_y)
@@ -470,9 +325,8 @@ class BatchQueryModule(CompiledQueryModule):
                     pair_bits.get((rep_x, rep_y), 0)
                     for rep_x in self._classes
                 ]
-            incr = _ClassIncrement(rings)
-            self._increments[rep_y] = incr
-        return incr
+            self._increments[rep_y] = rings
+        return rings
 
     def _column_shift(self, cycle: int) -> int:
         if self.modulo is not None:
@@ -482,12 +336,12 @@ class BatchQueryModule(CompiledQueryModule):
         return cycle - self._kernel.offset
 
     def _apply_token(self, token: ScheduledToken, sign: int) -> None:
-        incr = self._increment_of(self._kernel.rep_of[token.op])
+        rings = self._increment_of(self._kernel.rep_of[token.op])
         shift = self._column_shift(token.cycle)
         if sign > 0:
-            self._cols.add(incr, shift)
+            self._cols.add(rings, shift)
         else:
-            self._cols.sub(incr, shift)
+            self._cols.sub(rings, shift)
 
     def _col_add(self, token: ScheduledToken, function: str) -> None:
         self._apply_token(token, +1)
@@ -569,11 +423,7 @@ class BatchQueryModule(CompiledQueryModule):
             # A self-wrapping fold is alignment-independent: every slot
             # of this II is illegal for the operation.
             return window_mask, 1
-        prefetch = self._ring_prefetch
-        if prefetch is not None and class_index in prefetch:
-            ring = prefetch[class_index]
-        else:
-            ring = self._cols.ring(class_index)
+        ring = self._cols.ring(class_index)
         shift = start % modulo
         if shift:
             ring = (
@@ -585,107 +435,8 @@ class BatchQueryModule(CompiledQueryModule):
         self.work.charge(BATCH, units)
 
     # ------------------------------------------------------------------
-    # Bulk entry points (all pending ops of a class, one call)
+    # The bulk alternatives scan
     # ------------------------------------------------------------------
-    def _bulk_blocked(
-        self, op: str, start: int, width: int, seen_classes: set
-    ) -> Tuple[int, int]:
-        """(blocked, effective) for one bulk request row."""
-        rep = self._kernel.rep_of.get(op)
-        if rep is None:
-            self.machine.table(op)  # canonical unknown-operation error
-        seen_classes.add(rep)
-        blocked, _units = self._blocked_window(op, start, width)
-        effective = width
-        if self.modulo is not None:
-            effective = min(width, self.modulo)
-        return blocked, effective
-
-    def _bulk_prefetch(self, ops: Iterable[str]) -> None:
-        """Fetch every distinct class ring an invocation will touch, in
-        one vectorized backend call (modulo mode; scalar columns are
-        independent packed integers and are read per class)."""
-        if self.modulo is None:
-            return
-        indices: List[int] = []
-        seen: set = set()
-        rep_of = self._kernel.rep_of
-        for op in ops:
-            rep = rep_of.get(op)
-            if rep is None:
-                continue  # the row scan raises the canonical error
-            index = self._class_index[rep]
-            if index not in seen:
-                seen.add(index)
-                indices.append(index)
-        rings = self._cols.rings_of(indices) if indices else []
-        self._ring_prefetch = dict(zip(indices, rings))
-
-    def _bulk_units(self, seen_classes: set) -> int:
-        """The invocation's ``batch`` charge: one unit in modulo mode
-        (a single vectorized ring-matrix fetch covers every class the
-        invocation touches), one per distinct class column in scalar
-        mode.  ``charge`` floors the result at one either way."""
-        if self.modulo is not None:
-            return 1
-        return len(seen_classes)
-
-    def check_matrix(
-        self, requests: Sequence[Tuple[str, int, int]]
-    ) -> List[List[bool]]:
-        """Batched ``check_range`` over many ``(op, start, stop)`` rows.
-
-        Answers every candidate cycle of every request in one charged
-        call (see :meth:`_bulk_units` for the charge rule).  Row *i*
-        equals ``check_range(*requests[i])``.
-        """
-        answers: List[List[bool]] = []
-        seen: set = set()
-        self._bulk_prefetch(op for op, _start, _stop in requests)
-        try:
-            for op, start, stop in requests:
-                width = stop - start
-                if width <= 0:
-                    answers.append([])
-                    continue
-                blocked, effective = self._bulk_blocked(
-                    op, start, width, seen
-                )
-                answers.append([
-                    not (blocked >> (i % effective)) & 1
-                    for i in range(width)
-                ])
-        finally:
-            self._ring_prefetch = None
-        self.work.charge(BATCH, self._bulk_units(seen))
-        return answers
-
-    def first_free_bulk(
-        self, requests: Sequence[Tuple[str, int, int, int]]
-    ) -> List[Optional[int]]:
-        """Batched ``first_free`` over ``(op, start, stop, direction)``
-        rows — one charged call, same per-row answers."""
-        answers: List[Optional[int]] = []
-        seen: set = set()
-        self._bulk_prefetch(op for op, _s, _e, _d in requests)
-        try:
-            for op, start, stop, direction in requests:
-                width = stop - start
-                if width <= 0:
-                    answers.append(None)
-                    continue
-                blocked, effective = self._bulk_blocked(
-                    op, start, width, seen
-                )
-                offset = self._pick_free(
-                    blocked, width, effective, direction
-                )
-                answers.append(None if offset is None else start + offset)
-        finally:
-            self._ring_prefetch = None
-        self.work.charge(BATCH, self._bulk_units(seen))
-        return answers
-
     def first_free_with_alternatives(
         self, op: str, start: int, stop: int, direction: int = 1
     ) -> Tuple[Optional[int], Optional[str]]:
@@ -707,46 +458,37 @@ class BatchQueryModule(CompiledQueryModule):
         best_cycle: Optional[int] = None
         best_variant: Optional[str] = None
         lo, hi = start, stop
-        seen: set = set()
-        self._bulk_prefetch(ordered)
-        try:
-            for alternative in ordered:
-                if lo >= hi:
-                    break
-                width = hi - lo
-                blocked, effective = self._bulk_blocked(
-                    alternative, lo, width, seen
-                )
-                offset = self._pick_free(
-                    blocked, width, effective, direction
-                )
-                if offset is None:
-                    continue
-                cycle = lo + offset
-                best_cycle = cycle
-                best_variant = alternative
-                # Later variants must find a strictly better cycle.
-                if direction >= 0:
-                    hi = cycle
-                else:
-                    lo = cycle + 1
-        finally:
-            self._ring_prefetch = None
+        classes: set = set()
+        for alternative in ordered:
+            if lo >= hi:
+                break
+            width = hi - lo
+            blocked, _units = self._blocked_window(alternative, lo, width)
+            classes.add(self._kernel.rep_of[alternative])
+            effective = width
+            if self.modulo is not None:
+                effective = min(width, self.modulo)
+            offset = self._pick_free(blocked, width, effective, direction)
+            if offset is None:
+                continue
+            cycle = lo + offset
+            best_cycle = cycle
+            best_variant = alternative
+            # Later variants must find a strictly better cycle.
+            if direction >= 0:
+                hi = cycle
+            else:
+                lo = cycle + 1
         if best_variant is not None:
             if self.alternative_policy == ROUND_ROBIN and len(variants) > 1:
                 self._alt_rotation[op] = self._alt_rotation.get(op, 0) + 1
-        self.work.charge(BATCH, self._bulk_units(seen))
+        # One unit per invocation in modulo mode, where every class ring
+        # is kept current; one per distinct class column in scalar mode,
+        # where each window is shifted out of its own column.  ``charge``
+        # floors the result at one either way.
+        units = 1 if self.modulo is not None else len(classes)
+        self.work.charge(BATCH, units)
         return best_cycle, best_variant
-
-    def place_bulk(
-        self, placements: Iterable[Tuple[str, int]]
-    ) -> List[ScheduledToken]:
-        """Assign many ``(op, cycle)`` placements, in order.
-
-        Equivalent to looping :meth:`assign`; column updates are charged
-        per placement so bulk and loop accounting agree exactly.
-        """
-        return [self.assign(op, cycle) for op, cycle in placements]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -758,12 +500,7 @@ class BatchQueryModule(CompiledQueryModule):
 
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NUMPY",
-    "BACKEND_PURE",
     "BatchQueryModule",
     "SharedCompilation",
-    "batch_backend",
     "machine_digest",
-    "numpy_available",
 ]

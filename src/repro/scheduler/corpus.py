@@ -27,9 +27,15 @@ the parent charges the kernel build exactly once — so the query-path
 work units (``check``/``check_range``/``first_free``/``batch``) are
 identical serial vs parallel.  (Per-II *fold* compilation is re-done
 per worker, so only the ``compile`` currency may differ in parallel
-runs.)  Schedules are byte-identical across serial, parallel, numpy,
-and pure-python runs — asserted by ``tests/test_corpus.py`` and the
-fuzz oracle's ``batch`` differential stage.
+runs.)  Schedules are byte-identical across serial and parallel runs —
+asserted by ``tests/test_corpus.py`` and the fuzz oracle's ``batch``
+differential stage.
+
+Each serial run and each shard builds one
+:class:`~repro.scheduler.modulo.IterativeModuloScheduler` and reuses it
+for every loop: the scheduler holds no per-loop state, so its
+forbidden-latency matrix (the shared kernel's, in batch mode) is built
+once per run instead of once per loop.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import (
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
 from repro.obs import trace as obs
-from repro.query.batch import SharedCompilation, batch_backend, machine_digest
+from repro.query.batch import SharedCompilation, machine_digest
 from repro.query.modulo import BATCH, make_query_module
 from repro.query.work import COMPILE, WorkCounters
 from repro.resilience.budget import Budget
@@ -124,7 +130,6 @@ class CorpusResult:
     machine_name: str
     digest: str
     representation: str
-    backend: Optional[str]
     processes: int
     outcomes: List[LoopOutcome] = field(default_factory=list)
     work: WorkCounters = field(default_factory=WorkCounters)
@@ -159,7 +164,7 @@ class CorpusScheduler:
         the exact PR-5 per-loop path under the same driver — the two
         modes are the corpus differential's legs.
     word_cycles / budget_ratio / max_ii_slack:
-        Forwarded to :class:`IterativeModuloScheduler` per loop.
+        Forwarded to the run's :class:`IterativeModuloScheduler`.
     policy:
         Optional :class:`~repro.resilience.fallback.FallbackPolicy`;
         when set, each loop runs the verified scheduling ladder instead
@@ -202,12 +207,10 @@ class CorpusScheduler:
         loops as failed outcomes.
         """
         digest = machine_digest(self.machine)
-        backend = batch_backend() if self.representation == BATCH else None
         result = CorpusResult(
             machine_name=self.machine.name,
             digest=digest,
             representation=self.representation,
-            backend=backend,
             processes=self.processes,
         )
         processes = self.processes
@@ -247,7 +250,7 @@ class CorpusScheduler:
         result: CorpusResult,
     ) -> None:
         shared = _make_shared(self.machine, self.representation)
-        factory = _make_factory(self.machine, shared, self._loop_config())
+        scheduler = _make_scheduler(self.machine, shared, self._loop_config())
         pending_units = 0
         for index, graph in enumerate(graphs):
             try:
@@ -260,8 +263,7 @@ class CorpusScheduler:
                     )
                     pending_units = 0
                 outcome, work = _schedule_one(
-                    self.machine, graph, factory, self.policy,
-                    self._loop_config(), budget,
+                    scheduler, graph, self.policy, budget
                 )
             except (BudgetExceeded, ScheduleError) as exc:
                 result.outcomes.append(LoopOutcome(
@@ -331,7 +333,6 @@ def _make_shared(
 def _make_factory(
     machine: MachineDescription,
     shared: Optional[SharedCompilation],
-    config: dict,
 ) -> Optional[Callable[[Optional[int]], object]]:
     """The per-II query-module factory corpus loops share.
 
@@ -349,12 +350,31 @@ def _make_factory(
     return factory
 
 
-def _schedule_one(
+def _make_scheduler(
     machine: MachineDescription,
-    graph: DependenceGraph,
-    factory: Optional[Callable[[Optional[int]], object]],
-    policy: Optional["FallbackPolicy"],
+    shared: Optional[SharedCompilation],
     config: dict,
+) -> IterativeModuloScheduler:
+    """The one IMS instance a serial run or a shard reuses for every loop.
+
+    In batch mode it reuses the shared kernel's forbidden-latency matrix,
+    so the run builds that matrix at most once.
+    """
+    return IterativeModuloScheduler(
+        machine,
+        representation=config["representation"],
+        word_cycles=config["word_cycles"],
+        budget_ratio=config["budget_ratio"],
+        max_ii_slack=config["max_ii_slack"],
+        matrix=None if shared is None else shared.kernel.matrix,
+        query_factory=_make_factory(machine, shared),
+    )
+
+
+def _schedule_one(
+    scheduler: IterativeModuloScheduler,
+    graph: DependenceGraph,
+    policy: Optional["FallbackPolicy"],
     budget: Optional[Budget],
 ) -> Tuple[LoopOutcome, WorkCounters]:
     """Schedule one loop; raises only what the caller records."""
@@ -362,10 +382,10 @@ def _schedule_one(
         from repro.resilience.fallback import schedule_with_fallback
 
         outcome = schedule_with_fallback(
-            machine, graph, policy,
-            representation=config["representation"],
-            word_cycles=config["word_cycles"],
-            query_factory=factory,
+            scheduler.machine, graph, policy,
+            representation=scheduler.representation,
+            word_cycles=scheduler.word_cycles,
+            query_factory=scheduler.query_factory,
         )
         work = outcome.work if outcome.work is not None else WorkCounters()
         return LoopOutcome(
@@ -377,14 +397,6 @@ def _schedule_one(
             chosen_opcodes=dict(outcome.chosen_opcodes),
             rung=outcome.rung,
         ), work
-    scheduler = IterativeModuloScheduler(
-        machine,
-        representation=config["representation"],
-        word_cycles=config["word_cycles"],
-        budget_ratio=config["budget_ratio"],
-        max_ii_slack=config["max_ii_slack"],
-        query_factory=factory,
-    )
     result = scheduler.schedule(graph, budget=budget)
     return LoopOutcome(
         name=graph.name,
@@ -408,13 +420,13 @@ def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters
             "corpus shard rebuilt a different machine: %s != %s"
             % (shared.digest, digest)
         )
-    factory = _make_factory(machine, shared, config)
+    scheduler = _make_scheduler(machine, shared, config)
     outcomes: List[LoopOutcome] = []
     work = WorkCounters()
     for graph in graphs:
         try:
             outcome, loop_work = _schedule_one(
-                machine, graph, factory, policy, config, None
+                scheduler, graph, policy, None
             )
         except (BudgetExceeded, ScheduleError) as exc:
             outcomes.append(LoopOutcome(

@@ -12,8 +12,10 @@ multiprocessing fan-out replays the serial schedules exactly.
 import pytest
 
 from repro.cli import main
+from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.machines import cydra5_subset, example_machine
 from repro.obs import trace as obs
+from repro.query.compiled import clear_kernel_cache
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.resilience.fallback import RUNG_IMS as FALLBACK_RUNG_IMS
@@ -81,8 +83,6 @@ class TestBatchMatchesPerLoop:
         ).schedule_suite(suite)
 
         assert batch.representation == "batch"
-        assert batch.backend in ("numpy", "pure")
-        assert perloop.backend is None
         assert batch.failed == 0 and perloop.failed == 0
         assert batch.signatures() == perloop.signatures()
 
@@ -98,6 +98,32 @@ class TestBatchMatchesPerLoop:
         assert result.digest == again.digest
         other = CorpusScheduler(example_machine()).schedule_suite([])
         assert other.digest != result.digest
+
+
+class TestSchedulerReuse:
+    @pytest.mark.parametrize("representation", ("batch", "discrete"))
+    def test_serial_run_builds_the_forbidden_matrix_once(
+        self, machine, suite, monkeypatch, representation
+    ):
+        """One IMS per run: the matrix is not rebuilt for every loop."""
+        graphs = suite[:6]
+        build = ForbiddenLatencyMatrix.from_machine
+        built = []
+
+        def counting(description, *args, **kwargs):
+            built.append(description.name)
+            return build(description, *args, **kwargs)
+
+        # A cold kernel cache, so batch mode pays its one build here.
+        clear_kernel_cache()
+        monkeypatch.setattr(
+            ForbiddenLatencyMatrix, "from_machine", staticmethod(counting)
+        )
+        result = CorpusScheduler(
+            machine, representation=representation
+        ).schedule_suite(graphs)
+        assert result.failed == 0
+        assert built == [machine.name]
 
 
 class TestBudget:

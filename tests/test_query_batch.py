@@ -1,13 +1,12 @@
-"""The columnar batch plane: equivalence, backends, and accounting.
+"""The columnar batch plane: equivalence and accounting.
 
 The batch module inherits the compiled reserved-table protocol and
 replaces only the window-scan derivation with incrementally-maintained
 per-class columns.  These tests pin it to the compiled representation
 (and through it, to the discrete reference) over random machines and
 call sequences — including evictions via ``assign_free``, negative
-cycles, snapshot/restore, and both scan directions — and pin the two
-column backends (numpy and pure-python) to *identical* answers and
-*identical* work-unit trajectories.
+cycles, snapshot/restore, and both scan directions — and pin the
+``batch`` charge rule of the bulk alternatives scan.
 """
 
 import random
@@ -31,9 +30,7 @@ from repro.query import (
 from repro.query.batch import (
     BatchQueryModule,
     SharedCompilation,
-    batch_backend,
     machine_digest,
-    numpy_available,
 )
 
 RESOURCES = ["r0", "r1", "r2"]
@@ -196,78 +193,50 @@ class TestBuiltinMachines:
 
 
 class TestBulkEntryPoints:
-    def _populated(self, modulo):
+    #: Alternative groups of cydra5-subset: ``load_s`` has two variants
+    #: in two operation classes, ``addr_gen`` two variants in one class.
+    GROUPS = ("load_s", "addr_gen")
+
+    def _every_variant_blocked(self, modulo):
+        """Occupy cycle 0 so no variant of :attr:`GROUPS` fits there.
+
+        A one-cycle alternatives scan at cycle 0 then visits every
+        variant of the group, which makes its charge deterministic.
+        """
         machine = cydra5_subset()
         batch = BatchQueryModule(machine, modulo=modulo)
-        loop = CompiledQueryModule(machine, modulo=modulo)
-        rng = random.Random(5)
-        for _ in range(10):
-            op = rng.choice(machine.operation_names)
-            cycle = rng.randint(0, 13)
-            if loop.check(op, cycle):
-                batch.assign(op, cycle)
-                loop.assign(op, cycle)
-        return machine, batch, loop
+        for group in self.GROUPS:
+            for variant in machine.alternatives_of(group):
+                if batch.check(variant, 0):
+                    batch.assign(variant, 0)
+        return machine, batch
 
-    @pytest.mark.parametrize("modulo", (None, 7))
-    def test_check_matrix_rows_equal_check_range(self, modulo):
-        machine, batch, loop = self._populated(modulo)
-        requests = [
-            (op, start, start + width)
-            for op in machine.operation_names[:4]
-            for start, width in ((-2, 5), (0, 9), (3, 0), (6, 12))
-        ]
-        answers = batch.check_matrix(requests)
-        assert len(answers) == len(requests)
-        for (op, start, stop), row in zip(requests, answers):
-            expected = [
-                loop.check(op, cycle) for cycle in range(start, stop)
-            ]
-            assert list(row) == expected
-            assert list(row) == list(
-                loop.check_range(op, start, stop)
+    def _scan_charges(self, modulo):
+        """``(classes, calls, units)`` of one blocked scan per group."""
+        machine, batch = self._every_variant_blocked(modulo)
+        charges = []
+        for group in self.GROUPS:
+            classes = {
+                batch.kernel.rep_of[variant]
+                for variant in machine.alternatives_of(group)
+            }
+            calls = batch.work.calls[BATCH]
+            units = batch.work.units[BATCH]
+            assert batch.first_free_with_alternatives(group, 0, 1) == (
+                None, None,
             )
-
-    @pytest.mark.parametrize("modulo", (None, 7))
-    def test_first_free_bulk_equals_first_free(self, modulo):
-        machine, batch, loop = self._populated(modulo)
-        requests = [
-            (op, start, start + width, direction)
-            for op in machine.operation_names[:4]
-            for start, width in ((-2, 5), (0, 9), (4, 0))
-            for direction in (1, -1)
-        ]
-        answers = batch.first_free_bulk(requests)
-        expected = [
-            loop.first_free(op, start, stop, direction)
-            if stop > start else None
-            for op, start, stop, direction in requests
-        ]
-        assert answers == expected
+            charges.append((
+                len(classes),
+                batch.work.calls[BATCH] - calls,
+                batch.work.units[BATCH] - units,
+            ))
+        return charges
 
     def test_bulk_invocation_charges_once_in_modulo_mode(self):
-        _machine, batch, _loop = self._populated(7)
-        calls_before = batch.work.calls[BATCH]
-        units_before = batch.work.units[BATCH]
-        batch.check_matrix([
-            (op, 0, 7) for op in _machine.operation_names[:5]
-        ])
-        assert batch.work.calls[BATCH] == calls_before + 1
-        assert batch.work.units[BATCH] == units_before + 1
+        assert self._scan_charges(7) == [(2, 1, 1), (1, 1, 1)]
 
     def test_bulk_invocation_charges_per_class_in_scalar_mode(self):
-        machine, batch, _loop = self._populated(None)
-        kernel_classes = {
-            batch._kernel.rep_of[op]
-            for op in machine.operation_names[:5]
-        }
-        units_before = batch.work.units[BATCH]
-        batch.check_matrix([
-            (op, 0, 7) for op in machine.operation_names[:5]
-        ])
-        assert batch.work.units[BATCH] == (
-            units_before + len(kernel_classes)
-        )
+        assert self._scan_charges(None) == [(2, 1, 2), (1, 1, 1)]
 
     def test_first_free_with_alternatives_matches_compiled(self):
         machine = alternatives_machine()
@@ -290,71 +259,6 @@ class TestBulkEntryPoints:
                 if got[0] is not None and rng.random() < 0.4:
                     batch.assign(got[1], got[0])
                     compiled.assign(want[1], want[0])
-
-    def test_place_bulk_equals_looped_assign(self):
-        machine = cydra5_subset()
-        bulk = BatchQueryModule(machine, modulo=8)
-        loop = BatchQueryModule(machine, modulo=8)
-        placements = []
-        probe = CompiledQueryModule(machine, modulo=8)
-        rng = random.Random(7)
-        for _ in range(8):
-            op = rng.choice(machine.operation_names)
-            cycle = rng.randint(0, 7)
-            if probe.check(op, cycle):
-                probe.assign(op, cycle)
-                placements.append((op, cycle))
-        tokens = bulk.place_bulk(placements)
-        looped = [loop.assign(op, cycle) for op, cycle in placements]
-        assert [(t.op, t.cycle) for t in tokens] == (
-            [(t.op, t.cycle) for t in looped]
-        )
-        assert dict(bulk.work.units) == dict(loop.work.units)
-        assert dict(bulk.work.calls) == dict(loop.work.calls)
-
-
-class TestBackends:
-    def test_backend_name_resolves(self):
-        assert batch_backend() in ("numpy", "pure")
-
-    def test_forced_pure_backend_matches(self, monkeypatch):
-        """Pure columns answer and charge exactly like the default.
-
-        When numpy is importable this pins numpy == pure; without numpy
-        both legs run the pure backend and the test still guards the
-        env-forcing path.
-        """
-        machine = cydra5_subset()
-        rng = random.Random(23)
-        script = [
-            (rng.choice(machine.operation_names), rng.randint(0, 13))
-            for _ in range(40)
-        ]
-
-        def run():
-            module = BatchQueryModule(machine, modulo=7)
-            trace = []
-            for op, cycle in script:
-                trace.append(module.check(op, cycle))
-                if trace[-1]:
-                    module.assign(op, cycle)
-                trace.append(module.first_free(op, cycle, cycle + 9))
-                trace.append(
-                    module.check_matrix([(op, cycle, cycle + 7)])
-                )
-            return trace, dict(module.work.units), dict(module.work.calls)
-
-        default_trace = run()
-        monkeypatch.setenv("REPRO_BATCH_BACKEND", "pure")
-        pure_trace = run()
-        assert pure_trace == default_trace
-
-    @pytest.mark.skipif(
-        not numpy_available(), reason="numpy not importable"
-    )
-    def test_numpy_backend_selected_by_default(self):
-        module = BatchQueryModule(cydra5_subset(), modulo=5)
-        assert module.backend == "numpy"
 
 
 class TestSharedCompilation:
