@@ -18,18 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.machine import MachineDescription
-
-
-def _span(resource: str, first: int, last: int) -> Dict[str, List[int]]:
-    return {resource: list(range(first, last + 1))}
-
-
-def _merge(*parts: Dict[str, List[int]]) -> Dict[str, List[int]]:
-    accum: Dict[str, List[int]] = {}
-    for part in parts:
-        for resource, cycles in part.items():
-            accum.setdefault(resource, []).extend(cycles)
-    return accum
+from repro.machines._tables import merge, span
 
 
 # Integer-side ops contend for the lower issue slot, FP ops for the
@@ -46,29 +35,29 @@ def alpha21064() -> MachineDescription:
     # ------------------------------------------------------------------
     # EBOX (integer execute)
     # ------------------------------------------------------------------
-    ops["int_alu"] = _merge(
+    ops["int_alu"] = merge(
         _ILOWER, {"e.stage1": [1], "e.wport": [2]}
     )
     # The barrel shifter takes two passes for double-width shifts.
-    ops["shift"] = _merge(
+    ops["shift"] = merge(
         _ILOWER, {"e.stage1": [1, 2], "e.shifter": [1, 2], "e.wport": [3]}
     )
     # Integer multiply occupies a non-pipelined multiplier ~19 cycles.
-    ops["imul"] = _merge(
+    ops["imul"] = merge(
         _ILOWER,
         {"e.stage1": [1]},
-        _span("e.imul", 1, 19),
+        span("e.imul", 1, 19),
         {"e.wport": [21]},
     )
 
     # ------------------------------------------------------------------
     # ABOX (load/store)
     # ------------------------------------------------------------------
-    ops["load"] = _merge(
+    ops["load"] = merge(
         _ILOWER,
         {"a.agen": [1], "a.dcache": [2], "a.dbus": [3], "e.wport": [3]},
     )
-    ops["store"] = _merge(
+    ops["store"] = merge(
         _ILOWER,
         {"a.agen": [1], "a.dcache": [2, 3], "a.wbuf": [3, 4]},
     )
@@ -76,39 +65,39 @@ def alpha21064() -> MachineDescription:
     # ------------------------------------------------------------------
     # BBOX (control flow)
     # ------------------------------------------------------------------
-    ops["branch"] = _merge(_ILOWER, {"b.cond": [1], "ib.istream": [1]})
-    ops["jsr"] = _merge(_ILOWER, {"b.calc": [1], "ib.istream": [1, 2]})
+    ops["branch"] = merge(_ILOWER, {"b.cond": [1], "ib.istream": [1]})
+    ops["jsr"] = merge(_ILOWER, {"b.calc": [1], "ib.istream": [1, 2]})
 
     # ------------------------------------------------------------------
     # FBOX (floating point)
     # ------------------------------------------------------------------
-    ops["fadd"] = _merge(
+    ops["fadd"] = merge(
         _IUPPER,
         {"f.rport": [0], "f.add1": [1], "f.add2": [2], "f.add3": [3], "f.round": [4, 5],
          "f.wport": [6]},
     )
-    ops["fmul"] = _merge(
+    ops["fmul"] = merge(
         _IUPPER,
         {"f.rport": [0], "f.mul1": [1], "f.mul2": [2], "f.mul3": [3], "f.mround": [4, 5],
          "f.wport": [6]},
     )
     # Divides hold the non-pipelined divider, then retire through the add
     # pipeline's final stage and the FP write port.
-    ops["fdiv_s"] = _merge(
+    ops["fdiv_s"] = merge(
         _IUPPER,
         {"f.rport": [0]},
-        _span("f.div", 1, 30),
+        span("f.div", 1, 30),
         {"f.add3": [31], "f.round": [32], "f.wport": [33]},
     )
-    ops["fdiv_d"] = _merge(
+    ops["fdiv_d"] = merge(
         _IUPPER,
         {"f.rport": [0]},
-        _span("f.div", 1, 58),
+        span("f.div", 1, 58),
         {"f.add3": [59], "f.round": [60], "f.wport": [61]},
     )
     # FP-conditional branches read the FP register file, contending for
     # its read port with the FBOX ops issued the same cycle.
-    ops["fbranch"] = _merge(_ILOWER, {"f.rport": [0], "f.cc": [1], "ib.istream": [1]})
+    ops["fbranch"] = merge(_ILOWER, {"f.rport": [0], "f.cc": [1], "ib.istream": [1]})
 
     resources = [
         "ib.istream",

@@ -32,34 +32,23 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core.machine import MachineBuilder, MachineDescription
-
-
-def _span(resource: str, first: int, last: int) -> Dict[str, List[int]]:
-    return {resource: list(range(first, last + 1))}
-
-
-def _merge(*parts: Dict[str, List[int]]) -> Dict[str, List[int]]:
-    accum: Dict[str, List[int]] = {}
-    for part in parts:
-        for resource, cycles in part.items():
-            accum.setdefault(resource, []).extend(cycles)
-    return accum
+from repro.machines._tables import merge, span
 
 
 def _adder(usages: Dict[str, List[int]], hold: int = 1) -> Dict[str, List[int]]:
     """An op issued on the FP adder: issue slot, predicate read port, and a
     redundant unit-busy row spanning its occupancy."""
-    return _merge(
+    return merge(
         {"fa.issue": [0], "fa.prp": [0]},
-        _span("fa.busy", 1, max(1, hold)),
+        span("fa.busy", 1, max(1, hold)),
         usages,
     )
 
 
 def _multiplier(usages: Dict[str, List[int]], hold: int = 1) -> Dict[str, List[int]]:
-    return _merge(
+    return merge(
         {"fm.issue": [0], "fm.prp": [0]},
-        _span("fm.busy", 1, max(1, hold)),
+        span("fm.busy", 1, max(1, hold)),
         usages,
     )
 
@@ -77,14 +66,14 @@ def _per_port(prefix: str, usages: Dict[str, List[int]]) -> Dict[str, List[int]]
 
 def _mem_variants(usages: Dict[str, List[int]]) -> Sequence[Dict[str, List[int]]]:
     return [
-        _merge({"m%d.issue" % port: [0]}, _per_port("m%d" % port, usages))
+        merge({"m%d.issue" % port: [0]}, _per_port("m%d" % port, usages))
         for port in (0, 1)
     ]
 
 
 def _addr_variants(usages: Dict[str, List[int]]) -> Sequence[Dict[str, List[int]]]:
     return [
-        _merge({"a%d.issue" % unit: [0]}, _per_port("a%d" % unit, usages))
+        merge({"a%d.issue" % unit: [0]}, _per_port("a%d" % unit, usages))
         for unit in (0, 1)
     ]
 
@@ -207,39 +196,39 @@ def cydra5() -> MachineDescription:
     b.operation(
         "div_s",
         _multiplier(
-            _merge(_span("fm.div", 1, 16), {"fm.acc": [17], "fm.bus": [18], "rf.wm": [19]}),
+            merge(span("fm.div", 1, 16), {"fm.acc": [17], "fm.bus": [18], "rf.wm": [19]}),
             hold=16,
         ),
     )
     b.operation(
         "div_d",
         _multiplier(
-            _merge(_span("fm.div", 1, 30), {"fm.acc": [31], "fm.bus": [32], "rf.wm": [33]}),
+            merge(span("fm.div", 1, 30), {"fm.acc": [31], "fm.bus": [32], "rf.wm": [33]}),
             hold=30,
         ),
     )
     b.operation(
         "rem_s",
         _multiplier(
-            _merge(_span("fm.div", 1, 18), {"fm.bus": [20], "rf.wm": [21]}), hold=18
+            merge(span("fm.div", 1, 18), {"fm.bus": [20], "rf.wm": [21]}), hold=18
         ),
     )
     b.operation(
         "rem_d",
         _multiplier(
-            _merge(_span("fm.div", 1, 32), {"fm.bus": [34], "rf.wm": [35]}), hold=32
+            merge(span("fm.div", 1, 32), {"fm.bus": [34], "rf.wm": [35]}), hold=32
         ),
     )
     b.operation(
         "sqrt_s",
         _multiplier(
-            _merge(_span("fm.div", 1, 24), {"fm.bus": [26], "rf.wm": [27]}), hold=24
+            merge(span("fm.div", 1, 24), {"fm.bus": [26], "rf.wm": [27]}), hold=24
         ),
     )
     b.operation(
         "sqrt_d",
         _multiplier(
-            _merge(_span("fm.div", 1, 38), {"fm.bus": [40]}), hold=38
+            merge(span("fm.div", 1, 38), {"fm.bus": [40]}), hold=38
         ),
     )
 

@@ -20,19 +20,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.machine import MachineDescription
-
-
-def _span(resource: str, first: int, last: int) -> Dict[str, List[int]]:
-    """Usage of ``resource`` for every cycle in [first, last]."""
-    return {resource: list(range(first, last + 1))}
-
-
-def _merge(*parts: Dict[str, List[int]]) -> Dict[str, List[int]]:
-    accum: Dict[str, List[int]] = {}
-    for part in parts:
-        for resource, cycles in part.items():
-            accum.setdefault(resource, []).extend(cycles)
-    return accum
+from repro.machines._tables import merge, span
 
 
 _FRONT = {"iu.istream": [0], "iu.if": [0], "iu.rd": [1]}
@@ -45,87 +33,87 @@ def mips_r3000() -> MachineDescription:
     # ------------------------------------------------------------------
     # Integer unit (R3000)
     # ------------------------------------------------------------------
-    ops["int_alu"] = _merge(
+    ops["int_alu"] = merge(
         _FRONT, {"iu.ex": [2], "iu.mem": [3], "iu.wb": [4]}
     )
-    ops["load"] = _merge(
+    ops["load"] = merge(
         _FRONT,
         {"iu.ex": [2], "iu.mem": [3], "iu.dcache": [3], "iu.dbus": [4], "iu.wb": [4]},
     )
     # Stores drain through a one-deep write buffer: the cache is busy for
     # two cycles and the data bus is claimed alongside the load return path.
-    ops["store"] = _merge(
+    ops["store"] = merge(
         _FRONT, {"iu.ex": [2], "iu.mem": [3], "iu.dcache": [3, 4], "iu.dbus": [4]}
     )
     # Taken control flow re-steers the fetch stream, bubbling it one cycle
     # (two for conditional branches, whose target resolves in EX).
-    ops["branch"] = _merge(_FRONT, {"iu.ex": [2], "iu.istream": [2]})
-    ops["jump"] = _merge(_FRONT, {"iu.istream": [1]})
+    ops["branch"] = merge(_FRONT, {"iu.ex": [2], "iu.istream": [2]})
+    ops["jump"] = merge(_FRONT, {"iu.istream": [1]})
     # Integer multiply: HI/LO unit busy 10 cycles, mirrored by the
     # coprocessor-0 busy interlock row (redundant on purpose).
-    ops["mult"] = _merge(
+    ops["mult"] = merge(
         _FRONT,
         {"iu.ex": [2]},
-        _span("iu.multdiv", 2, 11),
-        _span("iu.mdbusy", 2, 11),
+        span("iu.multdiv", 2, 11),
+        span("iu.mdbusy", 2, 11),
     )
     # Integer divide: HI/LO unit busy 34 cycles -> forbidden latencies up
     # to 33, the maximum of this machine (matching "all < 34").
-    ops["div"] = _merge(
+    ops["div"] = merge(
         _FRONT,
         {"iu.ex": [2]},
-        _span("iu.multdiv", 2, 35),
-        _span("iu.mdbusy", 2, 35),
+        span("iu.multdiv", 2, 35),
+        span("iu.mdbusy", 2, 35),
     )
-    ops["mfhilo"] = _merge(
+    ops["mfhilo"] = merge(
         _FRONT, {"iu.ex": [2], "iu.multdiv": [2], "iu.wb": [4]}
     )
 
     # ------------------------------------------------------------------
     # Floating-point coprocessor (R3010)
     # ------------------------------------------------------------------
-    ops["fadd"] = _merge(
+    ops["fadd"] = merge(
         _FRONT,
         {"fp.decode": [1]},
-        _span("fp.add", 2, 3),
-        _span("fp.busy", 2, 3),
+        span("fp.add", 2, 3),
+        span("fp.busy", 2, 3),
         {"fp.bus": [4]},
     )
-    ops["fmul_s"] = _merge(
+    ops["fmul_s"] = merge(
         _FRONT,
         {"fp.decode": [1]},
-        _span("fp.mul", 2, 3),
+        span("fp.mul", 2, 3),
         {"fp.acc": [4]},
-        _span("fp.busy", 2, 4),
+        span("fp.busy", 2, 4),
         {"fp.bus": [6]},
     )
-    ops["fmul_d"] = _merge(
+    ops["fmul_d"] = merge(
         _FRONT,
         {"fp.decode": [1]},
-        _span("fp.mul", 2, 4),
+        span("fp.mul", 2, 4),
         {"fp.acc": [5]},
-        _span("fp.busy", 2, 5),
+        span("fp.busy", 2, 5),
         {"fp.bus": [7]},
     )
-    ops["fdiv_s"] = _merge(
+    ops["fdiv_s"] = merge(
         _FRONT,
         {"fp.decode": [1]},
-        _span("fp.div", 2, 12),
-        _span("fp.busy", 2, 12),
+        span("fp.div", 2, 12),
+        span("fp.busy", 2, 12),
         {"fp.bus": [14]},
     )
-    ops["fdiv_d"] = _merge(
+    ops["fdiv_d"] = merge(
         _FRONT,
         {"fp.decode": [1]},
-        _span("fp.div", 2, 19),
-        _span("fp.busy", 2, 19),
+        span("fp.div", 2, 19),
+        span("fp.busy", 2, 19),
         {"fp.bus": [21]},
     )
-    ops["fcmp"] = _merge(
+    ops["fcmp"] = merge(
         _FRONT,
         {"fp.decode": [1], "fp.add": [2], "fp.cc": [3]},
     )
-    ops["fmov"] = _merge(
+    ops["fmov"] = merge(
         _FRONT,
         {"iu.ex": [2], "fp.decode": [1], "fp.bus": [3]},
     )

@@ -26,18 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core.machine import MachineBuilder, MachineDescription
-
-
-def _span(resource: str, first: int, last: int) -> Dict[str, List[int]]:
-    return {resource: list(range(first, last + 1))}
-
-
-def _merge(*parts: Dict[str, List[int]]) -> Dict[str, List[int]]:
-    accum: Dict[str, List[int]] = {}
-    for part in parts:
-        for resource, cycles in part.items():
-            accum.setdefault(resource, []).extend(cycles)
-    return accum
+from repro.machines._tables import merge, span
 
 
 def _unit_variants(
@@ -100,13 +89,13 @@ def playdoh() -> MachineDescription:
     b.operation_with_alternatives(
         "fdiv_s",
         _unit_variants(
-            "f", 2, _merge(_span("@divider", 1, 16), {"@wb": [18]})
+            "f", 2, merge(span("@divider", 1, 16), {"@wb": [18]})
         ),
     )
     b.operation_with_alternatives(
         "fdiv_d",
         _unit_variants(
-            "f", 2, _merge(_span("@divider", 1, 30), {"@wb": [32]})
+            "f", 2, merge(span("@divider", 1, 30), {"@wb": [32]})
         ),
     )
 

@@ -42,26 +42,14 @@ per corpus instead of once per loop per II attempt.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
 from repro.query.alternatives import ROUND_ROBIN, order_variants
 from repro.query.base import ScheduledToken
 from repro.query.compiled import CompiledQueryModule, compiled_kernel
 from repro.query.work import ASSIGN, ASSIGN_FREE, BATCH, FREE
-
-
-def machine_digest(machine: MachineDescription) -> str:
-    """Stable content digest of a machine description.
-
-    The corpus driver keys shared compilations (and shards
-    multiprocessing fan-out) by this digest: equal descriptions share
-    one kernel regardless of object identity.
-    """
-    from repro.mdl import dumps
-
-    return hashlib.sha256(dumps(machine).encode("utf-8")).hexdigest()
 
 
 class _PureRingColumns:

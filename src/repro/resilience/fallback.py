@@ -505,6 +505,7 @@ def schedule_with_fallback(
     representation: Optional[str] = None,
     word_cycles: int = 1,
     query_factory: Optional[Callable[[Optional[int]], object]] = None,
+    matrix: Optional[ForbiddenLatencyMatrix] = None,
 ) -> ScheduleOutcome:
     """Modulo-schedule ``graph``, degrading verifiably on failure/timeout.
 
@@ -518,11 +519,17 @@ def schedule_with_fallback(
     ``query_factory`` (a ``modulo -> ContentionQueryModule`` callable) is
     threaded through to every rung's scheduler; corpus drivers use it to
     share one compiled kernel across all rungs of all loops.
+
+    ``matrix`` is ``machine``'s forbidden-latency matrix when the caller
+    already holds it; otherwise it is built once here and shared by the
+    MII bound and every IMS rung.
     """
     policy = policy or FallbackPolicy()
     graph.validate()
     attempts: List[AttemptRecord] = []
-    mii = min_ii(machine, graph)
+    if matrix is None:
+        matrix = ForbiddenLatencyMatrix.from_machine(machine)
+    mii = min_ii(machine, graph, matrix=matrix)
     extra = {}
     if representation is not None:
         extra["representation"] = representation
@@ -546,6 +553,7 @@ def schedule_with_fallback(
                     machine,
                     budget_ratio=budget_ratio,
                     max_ii_slack=ii_slack,
+                    matrix=matrix,
                     query_factory=query_factory,
                     **extra,
                 )

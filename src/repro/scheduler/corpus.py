@@ -386,6 +386,7 @@ def _schedule_one(
             representation=scheduler.representation,
             word_cycles=scheduler.word_cycles,
             query_factory=scheduler.query_factory,
+            matrix=scheduler.matrix,
         )
         work = outcome.work if outcome.work is not None else WorkCounters()
         return LoopOutcome(

@@ -101,11 +101,17 @@ class TestBatchMatchesPerLoop:
 
 
 class TestSchedulerReuse:
-    @pytest.mark.parametrize("representation", ("batch", "discrete"))
+    @pytest.mark.parametrize(
+        "representation, fallback",
+        (("batch", False), ("discrete", False),
+         ("batch", True), ("discrete", True)),
+        ids=("batch", "discrete", "batch-fallback", "discrete-fallback"),
+    )
     def test_serial_run_builds_the_forbidden_matrix_once(
-        self, machine, suite, monkeypatch, representation
+        self, machine, suite, monkeypatch, representation, fallback
     ):
-        """One IMS per run: the matrix is not rebuilt for every loop."""
+        """One IMS per run: the matrix is not rebuilt for every loop, nor
+        for every rung of the fallback ladder."""
         graphs = suite[:6]
         build = ForbiddenLatencyMatrix.from_machine
         built = []
@@ -120,7 +126,9 @@ class TestSchedulerReuse:
             ForbiddenLatencyMatrix, "from_machine", staticmethod(counting)
         )
         result = CorpusScheduler(
-            machine, representation=representation
+            machine,
+            representation=representation,
+            policy=FallbackPolicy() if fallback else None,
         ).schedule_suite(graphs)
         assert result.failed == 0
         assert built == [machine.name]

@@ -433,6 +433,32 @@ class TestScheduleLadder:
         ]
         assert sleeps == [policy.backoff_delay(1)]
 
+    def test_ladder_builds_the_forbidden_matrix_once(self, monkeypatch):
+        """MII and every IMS rung share one matrix, or the caller's."""
+        from repro.core.forbidden import ForbiddenLatencyMatrix
+
+        machine = cydra5_subset()
+        matrix = ForbiddenLatencyMatrix.from_machine(machine)
+        built = []
+
+        def counting(description, *args, **kwargs):
+            built.append(description.name)
+            return matrix
+
+        monkeypatch.setattr(
+            ForbiddenLatencyMatrix, "from_machine", staticmethod(counting)
+        )
+        # Every IMS rung fails under a zero budget, then the list rung.
+        policy = FallbackPolicy(max_units=0)
+        outcome = schedule_with_fallback(machine, KERNELS["daxpy"](), policy)
+        assert outcome.rung == RUNG_LIST
+        assert built == [machine.name]
+        outcome = schedule_with_fallback(
+            machine, KERNELS["daxpy"](), policy, matrix=matrix
+        )
+        assert outcome.rung == RUNG_LIST
+        assert built == [machine.name]
+
     def test_impossible_graph_raises_clean_schedule_error(self):
         from repro.scheduler.ddg import DependenceGraph
 
