@@ -56,8 +56,11 @@ class DiscreteQueryModule(ContentionQueryModule):
         return (resource, cycle)
 
     def _slots(self, op: str, cycle: int) -> List[Tuple[str, int]]:
-        table = self.machine.table(op)
-        return [self._slot(r, cycle + c) for r, c in table.iter_usages()]
+        usages = self.machine.table(op).sorted_usages
+        modulo = self.modulo
+        if modulo is None:
+            return [(r, cycle + c) for r, c in usages]
+        return [(r, (cycle + c) % modulo) for r, c in usages]
 
     # ------------------------------------------------------------------
     # Representation hooks

@@ -12,7 +12,8 @@
 * **RecMII** — recurrence-constrained bound.  For every dependence cycle C,
   ``II >= ceil(sum latency / sum distance)``.  Computed exactly by binary
   search over II with positive-cycle detection on edge weights
-  ``latency - II * distance``.
+  ``latency - II * distance``, over the edges inside non-trivial strongly
+  connected components only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
 from repro.obs import ledger as obs_ledger
-from repro.scheduler.ddg import DependenceGraph
+from repro.scheduler.ddg import Dependence, DependenceGraph
 
 
 def min_feasible_ii_for_op(
@@ -141,13 +142,60 @@ def res_mii_packed(
     return floor + slack + 1
 
 
-def _has_positive_cycle(graph: DependenceGraph, ii: int) -> bool:
+def _recurrence_edges(graph: DependenceGraph) -> List[Dependence]:
+    """Edges inside a non-trivial strongly connected component.
+
+    Every dependence cycle lies inside one component, so these edges carry
+    every recurrence: an edge between components, or a component of one
+    operation without a self-loop, bounds no II.  Components come from an
+    iterative Tarjan search, so deep graphs hit no recursion limit.
+    """
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    component: Dict[str, int] = {}
+    stack: List[str] = []
+    for root in (op.name for op in graph.operations()):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph.successors(root)))]
+        while work:
+            node, edges = work[-1]
+            for edge in edges:
+                succ = edge.dst
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    work.append((succ, iter(graph.successors(succ))))
+                    break
+                if succ not in component:  # still on the stack
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    label = index[node]
+                    while True:
+                        member = stack.pop()
+                        component[member] = label
+                        if member == node:
+                            break
+    return [
+        edge for edge in graph.edges()
+        if component[edge.src] == component[edge.dst]
+    ]
+
+
+def _has_positive_cycle(edges: List[Dependence], ii: int) -> bool:
     """Bellman-Ford longest-path relaxation detecting a positive cycle of
     ``latency - ii * distance`` edge weights."""
-    names = [op.name for op in graph.operations()]
-    dist = {name: 0 for name in names}
-    edges = list(graph.edges())
-    for _ in range(len(names)):
+    dist = {}
+    for edge in edges:
+        dist[edge.src] = dist[edge.dst] = 0
+    for _ in range(len(dist)):
         changed = False
         for edge in edges:
             weight = edge.latency - ii * edge.distance
@@ -163,6 +211,10 @@ def _has_positive_cycle(graph: DependenceGraph, ii: int) -> bool:
 def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
     """Recurrence-constrained minimum II (exact).
 
+    Binary search over II, testing only the edges inside non-trivial
+    strongly connected components (the only edges a dependence cycle can
+    use); a graph without such edges has RecMII 1.
+
     Raises :class:`ScheduleError` when the graph has a dependence cycle of
     zero total distance (which no II can satisfy if its latency sum is
     positive) — :meth:`DependenceGraph.validate` catches these earlier.
@@ -177,14 +229,17 @@ def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
         upper_bound = max(
             1, sum(max(0, e.latency) for e in graph.edges())
         )
+    edges = _recurrence_edges(graph)
+    if not edges:
+        return 1
     low, high = 1, upper_bound
-    if _has_positive_cycle(graph, high):
+    if _has_positive_cycle(edges, high):
         raise ScheduleError(
             "no feasible II up to %d for graph %r" % (high, graph.name)
         , ledger_tail=obs_ledger.active_tail())
     while low < high:
         mid = (low + high) // 2
-        if _has_positive_cycle(graph, mid):
+        if _has_positive_cycle(edges, mid):
             low = mid + 1
         else:
             high = mid

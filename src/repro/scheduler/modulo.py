@@ -15,6 +15,7 @@ features, all exercised here:
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -295,15 +296,19 @@ class IterativeModuloScheduler:
         evict_resource = 0
         evict_dependence = 0
 
-        unscheduled = set(names)
+        # The ready list of unscheduled operations: the highest first,
+        # ties by name.  Names are unique, so popping the heap picks what
+        # ``min(unscheduled, key=(-height, name))`` would.  Evicted
+        # operations are pushed back.
+        ready: List[Tuple[int, str]] = [
+            (-heights[name], name) for name in names
+        ]
+        heapq.heapify(ready)
         times: Dict[str, int] = {}
         tokens: Dict[str, object] = {}
         token_owner = {}
         chosen: Dict[str, str] = {}
         prev_time: Dict[str, int] = {}
-
-        def priority(name: str) -> Tuple[int, str]:
-            return (-heights[name], name)
 
         tracer = obs.current()
         ledger = obs_ledger.current()
@@ -319,7 +324,10 @@ class IterativeModuloScheduler:
         )
         last_units = 0
         with attempt_span:
-            while unscheduled and decisions < budget:
+            while ready and decisions < budget:
+                name = heapq.heappop(ready)[1]
+                if name in times:
+                    continue
                 if budget_obj is not None:
                     total_units = qm.work.total_units
                     budget_obj.checkpoint(
@@ -329,8 +337,6 @@ class IterativeModuloScheduler:
                         partial={"ii": ii, "times": dict(times)},
                     )
                     last_units = total_units
-                name = min(unscheduled, key=priority)
-                unscheduled.discard(name)
                 checks_before = (
                     qm.work.calls[CHECK] + qm.work.calls[CHECK_RANGE]
                 )
@@ -451,7 +457,7 @@ class IterativeModuloScheduler:
                         })
                     del times[victim]
                     del tokens[victim]
-                    unscheduled.add(victim)
+                    heapq.heappush(ready, (-heights[victim], victim))
                     if tracer is not None:
                         tracer.event(
                             "ims.evict_resource", obs.CAT_SCHED,
@@ -479,14 +485,14 @@ class IterativeModuloScheduler:
                                 "cycle": times[succ],
                             })
                         del times[succ]
-                        unscheduled.add(succ)
+                        heapq.heappush(ready, (-heights[succ], succ))
                         if tracer is not None:
                             tracer.event(
                                 "ims.evict_dependence", obs.CAT_SCHED,
                                 op=succ, by=name, ii=ii,
                             )
 
-            succeeded = not unscheduled
+            succeeded = len(times) == len(names)
             attempt_span.set(
                 decisions=decisions,
                 evictions=evict_resource + evict_dependence,

@@ -1,5 +1,7 @@
 """Unit tests for reservation tables and usage sets."""
 
+import pickle
+
 import pytest
 
 from repro.core import ReservationTable
@@ -57,6 +59,12 @@ class TestIntrospection:
     def test_iter_usages_deterministic(self):
         rt = ReservationTable({"b": [3, 1], "a": [2]})
         assert list(rt.iter_usages()) == [("a", 2), ("b", 1), ("b", 3)]
+
+    def test_sorted_usages_is_computed_once(self):
+        rt = ReservationTable({"b": [3, 1], "a": [2]})
+        assert rt.sorted_usages == (("a", 2), ("b", 1), ("b", 3))
+        assert rt.sorted_usages is rt.sorted_usages
+        assert list(rt.iter_usages()) == list(rt.sorted_usages)
 
     def test_cycles_used(self):
         rt = ReservationTable({"a": [0, 2], "b": [2, 5]})
@@ -122,6 +130,31 @@ class TestDunder:
 
     def test_inequality(self):
         assert ReservationTable({"x": [0]}) != ReservationTable({"x": [1]})
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pickle_round_trip_keeps_order_equality_and_hash(self, warm):
+        rt = ReservationTable({"mul": [4, 0, 2], "alu": [1], "bus": [3, 0]})
+        expected = [
+            ("alu", 1), ("bus", 0), ("bus", 3),
+            ("mul", 0), ("mul", 2), ("mul", 4),
+        ]
+        if warm:
+            assert list(rt.iter_usages()) == expected
+            hash(rt)
+        copy = pickle.loads(pickle.dumps(rt))
+        assert list(copy.iter_usages()) == expected
+        assert list(rt.iter_usages()) == expected
+        assert copy == rt
+        assert hash(copy) == hash(rt)
+
+    def test_pickle_ships_no_cache(self):
+        # The cached hash depends on the process's string-hash seed, so a
+        # table pickled for another process must not carry it.
+        fresh = ReservationTable({"b": [2, 0], "a": [1]})
+        used = ReservationTable({"b": [2, 0], "a": [1]})
+        list(used.iter_usages())
+        hash(used)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
 
     def test_repr_mentions_usages(self):
         assert "x: [0, 1]" in repr(ReservationTable({"x": [0, 1]}))
