@@ -141,16 +141,19 @@ def _prune_subset_masks(masks: List[int]) -> List[int]:
     for mask in sorted(distinct, key=popcount, reverse=True):
         slot = 1 << len(kept)
         containing = slot - 1
-        bits = list(_bits(mask))
-        for bit in bits:
+        rest = mask
+        while rest and containing:
+            bit = rest & -rest
             containing &= holders.get(bit, 0)
-            if not containing:
-                break
+            rest ^= bit
         if containing:
             continue
         kept.add(mask)
-        for bit in bits:
+        rest = mask
+        while rest:
+            bit = rest & -rest
             holders[bit] = holders.get(bit, 0) | slot
+            rest ^= bit
     return [mask for mask in distinct if mask in kept]
 
 
@@ -213,6 +216,7 @@ def build_generating_set(
             allowed = compatible[u0] & compatible[u1]
             applications = [] if trace is not None else None
             found_together = False
+            merges: List[int] = []
             additions: List[int] = []
             for index, current in enumerate(resources):
                 common = current & allowed
@@ -220,6 +224,7 @@ def build_generating_set(
                     # Rule 1: fully compatible -> merge the pair in.
                     merged = current | pair_mask
                     resources[index] = merged
+                    merges.append(merged)
                     found_together = True
                     rule1 += 1
                     if applications is not None:
@@ -236,15 +241,19 @@ def build_generating_set(
                     elif applications is not None:
                         applications.append((2, current, None))
             if additions:
-                existing = set(resources)
+                # A candidate holds the pair and lies inside ``allowed``;
+                # so does every resource equal to it, and such a resource
+                # fired Rule 1 above.  This pair's merges are therefore
+                # the only resources a candidate can duplicate.
+                existing = set(merges)
                 for candidate in additions:
                     if candidate not in existing:
                         existing.add(candidate)
                         resources.append(candidate)
             if not found_together:
-                # Rule 3: the pair starts a resource of its own.
-                if pair_mask not in resources:
-                    resources.append(pair_mask)
+                # Rule 3: the pair starts a resource of its own.  No
+                # resource equals it: one would have fired Rule 1.
+                resources.append(pair_mask)
                 rule3 += 1
                 if applications is not None:
                     applications.append((3, None, pair_mask))
