@@ -9,6 +9,10 @@ scans) and pins:
   placements and chosen alternatives, in suite order;
 * the exact ``work.units`` and ``work.calls`` maps of the merged run.
 
+A second set of cases runs the same suite under ``discrete`` (the
+per-loop path) and pins its digest (the same one: the representation
+never changes a schedule) and its exact unit and call maps.
+
 Any rewrite of the batch plane or the corpus driver must keep both
 byte-identical: schedules and the ``batch`` charge rule are the
 contract, the column store behind them is not.
@@ -42,6 +46,17 @@ GOLDEN = {
     ),
 }
 
+DISCRETE_GOLDEN = {
+    0: (
+        {"check": 90783, "assign&free": 45833, "free": 1832},
+        {"check": 64934, "assign&free": 21275, "free": 1768},
+    ),
+    7919: (
+        {"check": 93540, "assign&free": 46913, "free": 1414},
+        {"check": 66907, "assign&free": 21568, "free": 1375},
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def reduced():
@@ -52,6 +67,19 @@ def reduced():
 def test_corpus_suite_is_pinned(reduced, seed):
     digest, units, calls = GOLDEN[seed]
     result = CorpusScheduler(reduced).schedule_suite(loop_suite(1327, seed))
+    signatures = repr(result.signatures()).encode("utf-8")
+    assert hashlib.sha256(signatures).hexdigest() == digest
+    assert dict(result.work.units) == units
+    assert dict(result.work.calls) == calls
+
+
+@pytest.mark.parametrize("seed", sorted(DISCRETE_GOLDEN))
+def test_discrete_corpus_suite_is_pinned(reduced, seed):
+    digest = GOLDEN[seed][0]
+    units, calls = DISCRETE_GOLDEN[seed]
+    result = CorpusScheduler(
+        reduced, representation="discrete"
+    ).schedule_suite(loop_suite(1327, seed))
     signatures = repr(result.signatures()).encode("utf-8")
     assert hashlib.sha256(signatures).hexdigest() == digest
     assert dict(result.work.units) == units
