@@ -48,11 +48,10 @@ QUICK_MACHINES = ("example",)
 QUICK_LOOPS = 4
 QUICK_REPETITIONS = 3
 
-#: Corpus cells: the whole loop suite scheduled in one pass — the
-#: columnar batch plane vs the same driver forced down the per-loop
-#: compiled path.  A compare of the two cells shows the batch plane's
-#: work reduction directly.
-CORPUS_MODES = ("corpus-batch", "corpus-perloop")
+#: The corpus cell: the whole loop suite scheduled in one pass by
+#: :class:`~repro.scheduler.corpus.CorpusScheduler` with its default
+#: representation.
+CORPUS_CELL = "corpus"
 DEFAULT_CORPUS_LOOPS = 24
 QUICK_CORPUS_LOOPS = 8
 
@@ -184,26 +183,18 @@ def run_case(
 
 def run_corpus_case(
     machine,
-    mode: str,
     loops: int,
     repetitions: int,
     budget=None,
 ) -> BenchCase:
-    """Run one corpus cell: the whole loop suite scheduled in one pass.
+    """Run the corpus cell: the whole loop suite scheduled in one pass.
 
-    ``mode`` is one of :data:`CORPUS_MODES`.  The work counters come
-    straight from the corpus driver's merged
+    The work counters come straight from the corpus driver's merged
     :class:`~repro.query.work.WorkCounters` (``query.<fn>.units`` /
     ``query.<fn>.calls`` keys, the same shape the per-loop cells use),
-    so a bench compare gates the batch plane's query-path work exactly
-    like any other representation.
+    so a bench compare gates the corpus driver's query-path work exactly
+    like any other cell.
     """
-    if mode not in CORPUS_MODES:
-        raise ValueError(
-            "unknown corpus mode %r (choose from %s)"
-            % (mode, ", ".join(CORPUS_MODES))
-        )
-    representation = "batch" if mode == "corpus-batch" else "compiled"
     # Same workload resolution as the per-loop cells: the generated
     # suite where the vocabulary fits, machine-native chains otherwise.
     graphs = workload_for(machine, None, loops)
@@ -212,7 +203,7 @@ def run_corpus_case(
     nondeterministic: List[str] = []
 
     for _rep in range(repetitions):
-        scheduler = CorpusScheduler(machine, representation=representation)
+        scheduler = CorpusScheduler(machine)
         start = perf_counter()
         result = scheduler.schedule_suite(graphs)
         wall_samples.append(perf_counter() - start)
@@ -234,7 +225,7 @@ def run_corpus_case(
 
         if budget is not None:
             budget.checkpoint(
-                "bench:%s/%s" % (machine.name, mode),
+                "bench:%s/%s" % (machine.name, CORPUS_CELL),
                 units=int(
                     sum(
                         value
@@ -261,7 +252,7 @@ def run_corpus_case(
 
     return BenchCase(
         machine=machine.name,
-        representation=mode,
+        representation=CORPUS_CELL,
         work=work,
         wall=summarize(wall_samples),
         phases={},
@@ -290,9 +281,9 @@ def run_benchmark(
     keeps only cells whose ``machine/representation`` key contains the
     substring (``repro bench run --filter``); the recorded config notes
     the filter so a compare against an unfiltered baseline reports the
-    config mismatch.  ``corpus_loops`` adds the :data:`CORPUS_MODES`
-    cells per machine, scheduling a suite of that many loops in one
-    pass (``None``/``0`` skips them).
+    config mismatch.  ``corpus_loops`` adds the :data:`CORPUS_CELL` cell
+    per machine, scheduling a suite of that many loops in one pass
+    (``None``/``0`` skips it).
     """
     result = BenchResult(
         meta=default_meta(label=label),
@@ -325,13 +316,11 @@ def run_benchmark(
                     budget=budget,
                 )
             )
-        for mode in CORPUS_MODES if corpus_loops else ():
-            if case_filter and case_filter not in ("%s/%s" % (name, mode)):
-                continue
+        corpus_key = "%s/%s" % (name, CORPUS_CELL)
+        if corpus_loops and (not case_filter or case_filter in corpus_key):
             result.add_case(
                 run_corpus_case(
                     machine,
-                    mode,
                     loops=corpus_loops,
                     repetitions=repetitions,
                     budget=budget,
@@ -341,7 +330,7 @@ def run_benchmark(
 
 
 __all__ = [
-    "CORPUS_MODES",
+    "CORPUS_CELL",
     "DEFAULT_CORPUS_LOOPS",
     "DEFAULT_LOOPS",
     "DEFAULT_MACHINES",

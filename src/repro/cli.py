@@ -507,8 +507,6 @@ def _cmd_schedule(args: argparse.Namespace, run: Run) -> int:
     from repro.scheduler import IterativeModuloScheduler
 
     machine = _load_machine(args.machine)
-    if args.representation is None:
-        args.representation = "batch" if args.corpus else "discrete"
     if args.corpus:
         return _cmd_schedule_corpus(args, run, machine)
     scheduler = IterativeModuloScheduler(
@@ -587,7 +585,6 @@ def _cmd_schedule(args: argparse.Namespace, run: Run) -> int:
 
 def _cmd_schedule_corpus(args: argparse.Namespace, run: Run, machine) -> int:
     """``repro schedule --corpus``: the whole suite in one pass."""
-    from repro.query.modulo import BATCH
     from repro.scheduler.corpus import CorpusScheduler
 
     workload, graphs = _suite(args)
@@ -632,11 +629,6 @@ def _cmd_schedule_corpus(args: argparse.Namespace, run: Run, machine) -> int:
         % (result.scheduled, result.degraded, result.failed,
            len(result.outcomes), optimal)
     )
-    if result.representation == BATCH:
-        print(
-            "batch plane: %d batch units, %d compile units"
-            % (result.work.units["batch"], result.work.units["compile"])
-        )
     run.work(result.work)
     return 1 if result.failed else 0
 
@@ -1527,7 +1519,7 @@ def _compare_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _suite_flags(p: argparse.ArgumentParser) -> None:
-    from repro.query.modulo import ALL_REPRESENTATIONS, REPRESENTATIONS
+    from repro.query.modulo import REPRESENTATIONS
     from repro.workloads import KERNELS
 
     p.add_argument(
@@ -1540,14 +1532,10 @@ def _suite_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         help="loop-suite size when no kernel is given (default: %(default)s)",
     )
-    # Only ``schedule`` leaves the representation unset: it picks batch
-    # with --corpus, so it alone offers the batch plane.
-    representation = p.get_default("representation")
     p.add_argument(
         "--representation",
-        choices=REPRESENTATIONS if representation else ALL_REPRESENTATIONS,
-        help="query representation (default: %s)"
-        % (representation or "discrete, or batch with --corpus"),
+        choices=REPRESENTATIONS,
+        help="query representation (default: %(default)s)",
     )
     p.add_argument("--word-cycles", type=int, default=1)
 
@@ -1743,8 +1731,8 @@ def _bench_run_args(p: argparse.ArgumentParser) -> None:
         "--corpus-loops",
         type=int,
         metavar="N",
-        help="suite size for the corpus-batch/corpus-perloop cells"
-        " (default: 24; --quick: 8; 0 skips them)",
+        help="suite size for the corpus cell"
+        " (default: 24; --quick: 8; 0 skips it)",
     )
     p.add_argument(
         "--repetitions",
@@ -1880,9 +1868,8 @@ def _schedule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--corpus",
         action="store_true",
-        help="schedule the whole suite in one pass against a shared"
-        " compiled kernel (columnar batch plane); loop failures are"
-        " contained per loop and reported, exiting 1",
+        help="schedule the whole suite in one pass with one scheduler;"
+        " loop failures are contained per loop and reported, exiting 1",
     )
     p.add_argument(
         "--processes",
@@ -2166,7 +2153,7 @@ COMMANDS: Tuple[Command, ...] = (
     Command("schedule", "run the modulo scheduler", _cmd_schedule,
             _schedule_args, (_suite_flags, _observe_flags, _budget_flags,
                              _fallback_flag),
-            (("loops", 20),), record=True,
+            (("loops", 20), ("representation", "discrete")), record=True,
             meta=("machine", "representation", "kernel")),
     Command("explain",
             "scheduling provenance: MII attribution and per-II blame",

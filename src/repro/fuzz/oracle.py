@@ -2,23 +2,19 @@
 
 Runs one (usually generated) machine description through the full
 pipeline — structural lint, query-module trajectories, reduce, certify,
-equivalence, modulo scheduling, corpus batch scheduling — and
-cross-checks every redundant path the library offers:
+equivalence, modulo scheduling — and cross-checks every redundant path
+the library offers:
 
-* the three query representations (discrete, bitvector, compiled) must
-  answer every contention check identically, and must agree with the
-  brute-force reservation-grid overlay
+* every query representation (discrete, bitvector, compiled, batch)
+  must answer every contention check identically, and must agree with
+  the brute-force reservation-grid overlay
   (:func:`repro.core.verify.schedule_is_contention_free`);
 * the reduced description must be equivalent to the original
   (:func:`repro.core.verify.assert_equivalent`) and its certificate
   must check;
 * the modulo scheduler must produce the *identical* schedule on the
   original and the reduced description under every representation —
-  the paper's central claim;
-* corpus-scheduling the seeded workloads through the columnar batch
-  plane (:class:`repro.scheduler.corpus.CorpusScheduler`, shared
-  compilation) must match the per-loop compiled path
-  signature-for-signature (fingerprint class ``divergence:batch``).
+  the paper's central claim.
 
 Every outcome is classified:
 
@@ -36,11 +32,11 @@ Every outcome is classified:
     (machine-detail-free, e.g. ``divergence:equivalence``) that the
     shrinker preserves while minimizing.
 
-The ``mutate_reduced`` and ``mutate_corpus_signatures`` hooks exist for
+The ``mutate_reduced`` and ``mutate_batch_signature`` hooks exist for
 tests only: they inject a known-bad transform (between reduction and
-verification, or into the batch leg's signature list), simulating a
-broken reduction pipeline or batch plane so the bug path and the
-shrinker have a deterministic target.
+verification, or into the schedule stage's ``batch`` outcomes),
+simulating a broken reduction pipeline or batch module so the bug path
+and the shrinker have a deterministic target.
 """
 
 from __future__ import annotations
@@ -62,9 +58,8 @@ from repro.errors import (
 )
 from repro.fuzz.mdlgen import STRUCTURAL_RULES, generate_workload
 from repro.lint import lint_machine
-from repro.query import BATCH, COMPILED, REPRESENTATIONS, make_query_module
+from repro.query import ALL_REPRESENTATIONS, BATCH, make_query_module
 from repro.resilience.budget import Budget
-from repro.scheduler.corpus import CorpusScheduler
 from repro.scheduler.modulo import IterativeModuloScheduler
 
 VERDICT_OK = "ok"
@@ -93,12 +88,10 @@ class OracleConfig:
     mutate_reduced: Optional[
         Callable[[MachineDescription], MachineDescription]
     ] = None
-    #: Test-only divergence hook applied to the corpus (batch) leg's
-    #: per-loop signature list before the ``batch`` differential stage
-    #: compares it — simulates a broken batch plane.
-    mutate_corpus_signatures: Optional[
-        Callable[[List], List]
-    ] = None
+    #: Test-only divergence hook applied to every ``batch`` outcome of
+    #: the schedule stage before the comparison — simulates a batch
+    #: module that silently mis-schedules.
+    mutate_batch_signature: Optional[Callable[[Tuple], Tuple]] = None
 
 
 @dataclass
@@ -153,7 +146,7 @@ def _budget(config: OracleConfig) -> Optional[Budget]:
 def _probe_trajectories(
     machine: MachineDescription, seed: int, config: OracleConfig
 ) -> None:
-    """Drive the three query representations through one seeded
+    """Drive every query representation through one seeded
     check/assign/free trajectory, cross-checking every answer against
     the brute-force reservation overlay."""
     rng = random.Random("fuzzprobe:%s:%d" % (machine.name, seed))
@@ -161,17 +154,20 @@ def _probe_trajectories(
         rep: make_query_module(
             machine, rep, word_cycles=config.word_cycles, modulo=None
         )
-        for rep in REPRESENTATIONS
+        for rep in ALL_REPRESENTATIONS
     }
     ops = list(machine.operation_names)
     horizon = 3 * max(2, machine.max_table_length)
     placements: List[Tuple[str, int]] = []
-    tokens: Dict[str, List[object]] = {rep: [] for rep in REPRESENTATIONS}
+    tokens: Dict[str, List[object]] = {
+        rep: [] for rep in ALL_REPRESENTATIONS
+    }
     for step in range(config.probe_steps):
         op = rng.choice(ops)
         cycle = rng.randrange(horizon)
         answers = {
-            rep: modules[rep].check(op, cycle) for rep in REPRESENTATIONS
+            rep: modules[rep].check(op, cycle)
+            for rep in ALL_REPRESENTATIONS
         }
         truth = schedule_is_contention_free(
             machine, placements + [(op, cycle)]
@@ -188,13 +184,13 @@ def _probe_trajectories(
                 ),
             )
         if truth and rng.random() < 0.8:
-            for rep in REPRESENTATIONS:
+            for rep in ALL_REPRESENTATIONS:
                 tokens[rep].append(modules[rep].assign(op, cycle))
             placements.append((op, cycle))
         elif placements and rng.random() < 0.4:
             index = rng.randrange(len(placements))
             placements.pop(index)
-            for rep in REPRESENTATIONS:
+            for rep in ALL_REPRESENTATIONS:
                 modules[rep].free(tokens[rep].pop(index))
 
 
@@ -213,8 +209,8 @@ def _differential_schedules(
     config: OracleConfig,
     handled: List[str],
 ) -> None:
-    """Schedule seeded workloads on (original, reduced) x all three
-    representations; every combination must behave identically."""
+    """Schedule seeded workloads on (original, reduced) x every
+    representation; every combination must behave identically."""
     for index in range(config.workloads):
         graph = generate_workload(
             original, seed * config.workloads + index,
@@ -223,7 +219,7 @@ def _differential_schedules(
         outcomes: Dict[Tuple[str, str], Tuple] = {}
         budget_hit = False
         for label, machine in (("original", original), ("reduced", reduced)):
-            for rep in REPRESENTATIONS:
+            for rep in ALL_REPRESENTATIONS:
                 scheduler = IterativeModuloScheduler(
                     machine,
                     representation=rep,
@@ -242,6 +238,9 @@ def _differential_schedules(
                     )
                 else:
                     outcomes[(label, rep)] = _schedule_signature(result)
+                hook = config.mutate_batch_signature
+                if rep == BATCH and hook is not None:
+                    outcomes[(label, rep)] = hook(outcomes[(label, rep)])
             if budget_hit:
                 break
         if budget_hit:
@@ -263,59 +262,6 @@ def _differential_schedules(
         only = next(iter(distinct))
         if only[0] == "schedule-error":
             handled.append("schedule-error")
-
-
-def _differential_corpus(
-    machine: MachineDescription,
-    seed: int,
-    config: OracleConfig,
-    handled: List[str],
-) -> None:
-    """Corpus-schedule the seeded workloads (batch plane, shared
-    compilation) against the per-loop compiled path; the two suites
-    must match signature-for-signature, failed loops included."""
-    graphs = [
-        generate_workload(
-            machine, seed * config.workloads + index,
-            max_operations=config.workload_operations,
-        )
-        for index in range(config.workloads)
-    ]
-    legs: Dict[str, List] = {}
-    for label, representation in (
-        ("corpus-batch", BATCH), ("per-loop", COMPILED),
-    ):
-        result = CorpusScheduler(
-            machine, representation=representation,
-        ).schedule_suite(graphs, budget=_budget(config))
-        if any(
-            outcome.error_type == "BudgetExceeded"
-            for outcome in result.outcomes
-        ):
-            # Work units differ between the batch and per-loop paths by
-            # design, so a starved leg forfeits the comparison.
-            handled.append("budget:corpus")
-            return
-        legs[label] = [
-            ("schedule-error",) if outcome.failed else outcome.signature
-            for outcome in result.outcomes
-        ]
-    batch_signatures = legs["corpus-batch"]
-    if config.mutate_corpus_signatures is not None:
-        batch_signatures = config.mutate_corpus_signatures(batch_signatures)
-    if batch_signatures != legs["per-loop"]:
-        diverging = sorted(
-            index for index, (batch_sig, perloop_sig)
-            in enumerate(zip(batch_signatures, legs["per-loop"]))
-            if batch_sig != perloop_sig
-        )
-        raise _Bug(
-            "batch",
-            "divergence:batch",
-            "corpus batch schedules diverge from the per-loop compiled"
-            " path at workload(s) %s of %d"
-            % (diverging, len(graphs)),
-        )
 
 
 def run_oracle(
@@ -388,9 +334,6 @@ def run_oracle(
 
         stage = "schedule"
         _differential_schedules(machine, reduced, seed, config, handled)
-
-        stage = "batch"
-        _differential_corpus(machine, seed, config, handled)
     except _Bug as bug:
         outcome.verdict = VERDICT_BUG
         outcome.stage = bug.stage

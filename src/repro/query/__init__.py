@@ -17,8 +17,11 @@ paper's Section 5 pair plus a compiled kernel:
   compiled kernel: per-class blocked columns are maintained
   incrementally across assigns/frees as packed-int columns, so any
   window scan is an O(1) column fetch charged to the
-  ``batch`` currency, and whole corpora share one compiled kernel via
-  :class:`SharedCompilation`.
+  ``batch`` currency.
+
+Schedulers default to ``discrete``.  ``compiled`` and ``batch`` show no
+wall-time win over it; they stay, reachable through
+:func:`make_query_module`, for the benchmark's query replay rows.
 
 All support arbitrary placement order, backtracking via ``assign_free``,
 negative cycles (dangling block-boundary requirements), and modulo
@@ -39,11 +42,7 @@ from repro.query.base import (
     ContentionQueryModule,
     ScheduledToken,
 )
-from repro.query.batch import (
-    BatchQueryModule,
-    SharedCompilation,
-    machine_digest,
-)
+from repro.query.batch import BatchQueryModule
 from repro.query.bitvector import BitvectorQueryModule
 from repro.query.compiled import (
     CompiledKernel,
@@ -84,8 +83,6 @@ __all__ = [
     "ATTRIBUTE",
     "BATCH",
     "BatchQueryModule",
-    "SharedCompilation",
-    "machine_digest",
     "BLAME_RESERVED",
     "BLAME_SELF",
     "Blame",

@@ -1,4 +1,4 @@
-"""Columnar batch plane: corpus-scale contention queries.
+"""Columnar batch plane: window scans as O(1) column fetches.
 
 The compiled representation (:mod:`repro.query.compiled`) answers one
 window scan by OR-ing one shifted collision bitset per *distinct live
@@ -12,7 +12,7 @@ operations are live.
 Layout: per class, a packed big-int column of blocked slots plus a
 slot-count dict, so a free clears a bit only when its last conflict
 goes.  The slot axis is the II ring for a modulo reservation table (the
-ring the corpus scheduler lives on), or a bias-grown cycle axis for
+ring IMS works on), or a bias-grown cycle axis for
 scalar tables.
 
 Work currency: the read path charges the ``batch`` currency.  A lone
@@ -25,8 +25,7 @@ bias-grown column.  Column *maintenance* is write-path cost: each
 assign/free tops up the triggering call's own
 ``assign``/``assign&free``/``free`` units by one per column update, so
 the check-path currencies (``check`` + ``check_range`` + ``first_free``
-+ ``batch``) stay a pure read-path measure, comparable against the
-per-loop numbers they replace.
++ ``batch``) stay a pure read-path measure, comparable with the compiled module's.
 
 Schedules are byte-identical to the compiled module's: the blocked
 window a column fetch yields equals the compiled OR (a slot's count is
@@ -34,21 +33,19 @@ positive iff some live pair's bitset covers it), and all downstream
 window math — self-conflict short circuit, effective width, downward
 residue scan, variant-major shrink — is inherited, not reimplemented.
 
-:class:`SharedCompilation` amortizes machine-level compilation across a
-corpus: one :class:`~repro.query.compiled.CompiledKernel` per machine
-digest with shared per-II fold caches, so ``compile`` is charged once
-per corpus instead of once per loop per II attempt.
+No scheduler or driver builds this module by default: it is reachable
+only through :func:`repro.query.make_query_module`, for the query
+replay rows of the benchmark and the fuzz oracle's differential stages.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
 from repro.query.alternatives import ROUND_ROBIN, order_variants
 from repro.query.base import ScheduledToken
-from repro.query.compiled import CompiledQueryModule, compiled_kernel
+from repro.query.compiled import CompiledQueryModule
 from repro.query.work import ASSIGN, ASSIGN_FREE, BATCH, FREE
 
 
@@ -185,55 +182,6 @@ class _ScalarColumns:
         self._bias = 0
 
 
-class SharedCompilation:
-    """Machine-level compiled state shared across a corpus of loops.
-
-    One :class:`~repro.query.compiled.CompiledKernel` per machine
-    digest, plus the per-II lazy caches (mask folds, pair rings,
-    self-conflict flags, column increments) every
-    :class:`BatchQueryModule` of the corpus reuses.  The kernel build
-    cost is charged to ``compile`` exactly once — by the first module
-    constructed against this handle — instead of once per loop per II
-    attempt; per-II folds are likewise charged by whichever module
-    builds them first.
-
-    ``charge_compile=False`` suppresses compile charging entirely
-    (multiprocessing workers, whose kernel the parent already charged).
-    """
-
-    def __init__(
-        self, machine: MachineDescription, charge_compile: bool = True
-    ):
-        self.machine = machine
-        self.kernel = compiled_kernel(machine)
-        self.digest = machine_digest(machine)
-        self.charge_compile = charge_compile
-        self._kernel_charged = False
-        self._folds: Dict[Optional[int], Dict] = {}
-        self._pairs: Dict[Optional[int], Dict] = {}
-        self._self_conflicts: Dict[Optional[int], Dict[str, bool]] = {}
-        self._increments: Dict[Optional[int], Dict[str, List[int]]] = {}
-
-    def mark_kernel_charged(self) -> bool:
-        """True exactly once, when the kernel build should be charged."""
-        if not self.charge_compile or self._kernel_charged:
-            return False
-        self._kernel_charged = True
-        return True
-
-    def fold_cache(self, modulo: Optional[int]) -> Dict:
-        return self._folds.setdefault(modulo, {})
-
-    def pair_fold(self, modulo: Optional[int]) -> Dict:
-        return self._pairs.setdefault(modulo, {})
-
-    def self_conflicts(self, modulo: Optional[int]) -> Dict[str, bool]:
-        return self._self_conflicts.setdefault(modulo, {})
-
-    def increments(self, modulo: Optional[int]) -> Dict[str, List[int]]:
-        return self._increments.setdefault(modulo, {})
-
-
 class BatchQueryModule(CompiledQueryModule):
     """Compiled query module with incrementally-maintained columns.
 
@@ -247,30 +195,16 @@ class BatchQueryModule(CompiledQueryModule):
     Parameters
     ----------
     machine / modulo:
-        As for :class:`~repro.query.compiled.CompiledQueryModule`.
-    shared:
-        Optional :class:`SharedCompilation` handle: per-II caches are
-        shared and compilation is charged once per corpus.  Without it
-        the module charges compilation per construction, exactly like
-        the compiled representation.
+        As for :class:`~repro.query.compiled.CompiledQueryModule`, whose
+        per-construction ``compile`` charge it inherits.
     """
 
     def __init__(
-        self,
-        machine: MachineDescription,
-        modulo: Optional[int] = None,
-        shared: Optional[SharedCompilation] = None,
+        self, machine: MachineDescription, modulo: Optional[int] = None
     ):
-        self._shared = shared
         super().__init__(machine, modulo=modulo)
-        if shared is not None:
-            self._fold_cache = shared.fold_cache(modulo)
-            self._pair_fold = shared.pair_fold(modulo)
-            self._sc_cache = shared.self_conflicts(modulo)
-            self._increments = shared.increments(modulo)
-        else:
-            self._sc_cache = {}
-            self._increments = {}
+        self._sc_cache: Dict[str, bool] = {}
+        self._increments: Dict[str, List[int]] = {}
         kernel = self._kernel
         self._classes = sorted(set(kernel.rep_of.values()))
         self._class_index = {
@@ -280,16 +214,6 @@ class BatchQueryModule(CompiledQueryModule):
             self._cols = _PureRingColumns(len(self._classes), modulo)
         else:
             self._cols = _ScalarColumns(len(self._classes))
-
-    # ------------------------------------------------------------------
-    # Shared-compilation charging
-    # ------------------------------------------------------------------
-    def _charge_construction(self) -> None:
-        shared = self._shared
-        if shared is None:
-            super()._charge_construction()
-        elif shared.mark_kernel_charged():
-            super()._charge_construction()
 
     # ------------------------------------------------------------------
     # Column maintenance (the batch plane's write path)
@@ -478,17 +402,5 @@ class BatchQueryModule(CompiledQueryModule):
         self.work.charge(BATCH, units)
         return best_cycle, best_variant
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def shared(self) -> Optional[SharedCompilation]:
-        """The shared-compilation handle, when corpus-scoped."""
-        return self._shared
 
-
-__all__ = [
-    "BatchQueryModule",
-    "SharedCompilation",
-    "machine_digest",
-]
+__all__ = ["BatchQueryModule"]

@@ -176,11 +176,6 @@ class CompiledQueryModule(ContentionQueryModule):
         # the MRT ring, and collision bitsets folded mod II.
         self._fold_cache: Dict[Tuple[str, int], Tuple[int, bool]] = {}
         self._pair_fold: Dict[Tuple[str, str], int] = {}
-        self._charge_construction()
-
-    def _charge_construction(self) -> None:
-        """Charge the kernel build cost (hook: shared-compilation
-        modules charge it once per machine digest instead)."""
         self._charge_compile(self._kernel.build_units)
 
     def _charge_compile(self, units: int) -> None:

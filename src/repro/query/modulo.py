@@ -16,7 +16,7 @@ from repro.core.machine import MachineDescription
 from repro.obs.instrument import observed_class
 from repro.obs.trace import current as _current_tracer
 from repro.query.base import ContentionQueryModule
-from repro.query.batch import BatchQueryModule, SharedCompilation
+from repro.query.batch import BatchQueryModule
 from repro.query.bitvector import BitvectorQueryModule
 from repro.query.compiled import CompiledQueryModule
 from repro.query.discrete import DiscreteQueryModule
@@ -26,13 +26,12 @@ BITVECTOR = "bitvector"
 COMPILED = "compiled"
 BATCH = "batch"
 
-#: The paper's three interpretable/compiled representations, which every
-#: differential cross-check drives.  The columnar ``batch`` plane is a
-#: byte-identical accelerator of ``compiled`` and is cross-checked by
-#: the corpus-vs-per-loop differential stage instead.
+#: The representations the CLI offers and ``repro bench`` measures.
 REPRESENTATIONS = (DISCRETE, BITVECTOR, COMPILED)
 
-#: Everything :func:`make_query_module` accepts (CLI choice lists).
+#: Everything :func:`make_query_module` accepts, and what the fuzz
+#: oracle's differential stages drive.  The columnar ``batch`` plane is
+#: a byte-identical accelerator of ``compiled``.
 ALL_REPRESENTATIONS = REPRESENTATIONS + (BATCH,)
 
 
@@ -41,7 +40,6 @@ def make_query_module(
     representation: str = DISCRETE,
     word_cycles: int = 1,
     modulo: Optional[int] = None,
-    shared: Optional[SharedCompilation] = None,
 ) -> ContentionQueryModule:
     """Build a contention query module.
 
@@ -61,11 +59,6 @@ def make_query_module(
     modulo:
         Initiation interval for a modulo reservation table; ``None`` gives
         an ordinary (scalar) reserved table.
-    shared:
-        Optional :class:`~repro.query.batch.SharedCompilation` handle
-        (batch representation only): corpus drivers pass one so kernel
-        compilation is charged once per machine digest instead of per
-        module.
 
     While an observability tracer is active (:func:`repro.obs.tracing`)
     the *observed* subclass is constructed instead, so every basic
@@ -86,14 +79,8 @@ def make_query_module(
             "unknown representation %r (expected one of %s)"
             % (representation, ALL_REPRESENTATIONS)
         )
-    if shared is not None and representation != BATCH:
-        raise ValueError(
-            "shared compilation requires the batch representation"
-        )
     if _current_tracer() is not None:
         cls = observed_class(cls)
     if representation == BITVECTOR:
         return cls(machine, word_cycles=word_cycles, modulo=modulo)
-    if representation == BATCH:
-        return cls(machine, modulo=modulo, shared=shared)
     return cls(machine, modulo=modulo)

@@ -467,7 +467,6 @@ def _verify_modulo_reservation(
 def _flat_schedule(
     machine: MachineDescription,
     graph: DependenceGraph,
-    query_factory: Optional[Callable[[Optional[int]], object]] = None,
 ) -> Tuple[Dict[str, int], Dict[str, str], int, WorkCounters]:
     """Non-pipelined loop schedule: list-schedule one iteration, then
     stretch the II until modulo wrap-around and every loop-carried
@@ -477,9 +476,7 @@ def _flat_schedule(
     slots never wrap, so the acyclic schedule's freedom from contention
     carries over to the MRT verbatim.
     """
-    block = OperationDrivenScheduler(
-        machine, query_factory=query_factory
-    ).schedule(graph)
+    block = OperationDrivenScheduler(machine).schedule(graph)
     times = dict(block.times)
     chosen = dict(block.chosen_opcodes)
     span_cycles = 1
@@ -504,7 +501,6 @@ def schedule_with_fallback(
     policy: Optional[FallbackPolicy] = None,
     representation: Optional[str] = None,
     word_cycles: int = 1,
-    query_factory: Optional[Callable[[Optional[int]], object]] = None,
     matrix: Optional[ForbiddenLatencyMatrix] = None,
 ) -> ScheduleOutcome:
     """Modulo-schedule ``graph``, degrading verifiably on failure/timeout.
@@ -515,10 +511,6 @@ def schedule_with_fallback(
     dependence verifier and a ground-truth MRT contention check before
     being served; a failure of the last rung raises a clean
     :class:`~repro.errors.ScheduleError`.
-
-    ``query_factory`` (a ``modulo -> ContentionQueryModule`` callable) is
-    threaded through to every rung's scheduler; corpus drivers use it to
-    share one compiled kernel across all rungs of all loops.
 
     ``matrix`` is ``machine``'s forbidden-latency matrix when the caller
     already holds it; otherwise it is built once here and shared by the
@@ -554,7 +546,6 @@ def schedule_with_fallback(
                     budget_ratio=budget_ratio,
                     max_ii_slack=ii_slack,
                     matrix=matrix,
-                    query_factory=query_factory,
                     **extra,
                 )
                 result = scheduler.schedule(graph, budget=budget)
@@ -590,9 +581,7 @@ def schedule_with_fallback(
         # Degrade: flat (non-pipelined) schedule.  A failure here is a
         # clean ScheduleError — the ladder is exhausted.
         obs.count("resilience.fallback")
-        times, chosen, ii, flat_work = _flat_schedule(
-            machine, graph, query_factory=query_factory
-        )
+        times, chosen, ii, flat_work = _flat_schedule(machine, graph)
         graph.verify_schedule(times, ii=ii)
         _verify_modulo_reservation(machine, times, chosen, ii)
         attempts.append(

@@ -1,15 +1,12 @@
-"""Corpus-scale batch scheduling: one compiled kernel, many loops.
+"""Corpus scheduling: a whole loop suite in one pass, one loop at a time.
 
-The per-loop pipeline compiles a fresh query kernel for every loop (and,
-inside IMS, for every II attempt), so scheduling the 1327-loop suite
-pays the machine-level compilation over and over for the *same*
-description.  This driver schedules a whole
-:func:`~repro.workloads.loopgen.loop_suite` against one
-:class:`~repro.query.batch.SharedCompilation` handle: every loop's
-every II attempt draws :class:`~repro.query.batch.BatchQueryModule`
-instances from shared per-II caches, ``compile`` is charged once per
-machine digest, and window scans ride the columnar batch plane (one
-``batch`` unit per scan instead of one collision bitset per live pair).
+:class:`CorpusScheduler` schedules every graph of a suite (usually
+:func:`~repro.workloads.loopgen.loop_suite`) with one
+:class:`~repro.scheduler.modulo.IterativeModuloScheduler`, reused for
+every loop: the scheduler holds no per-loop state, so its
+forbidden-latency matrix is built once per run instead of once per loop.
+Each loop runs exactly the code it would run scheduled alone, so a
+corpus schedule and its work counters equal the per-loop ones.
 
 Degradation is loop-local, never corpus-fatal:
 
@@ -21,43 +18,22 @@ Degradation is loop-local, never corpus-fatal:
   rung), so a hard loop degrades alone while its neighbours pipeline.
 
 ``processes > 1`` fans the suite out over a ``multiprocessing`` pool,
-sharded deterministically; every worker rebuilds the shared compilation
-for the parent's machine digest with compile charging suppressed, and
-the parent charges the kernel build exactly once — so the query-path
-work units (``check``/``check_range``/``first_free``/``batch``) are
-identical serial vs parallel.  (Per-II *fold* compilation is re-done
-per worker, so only the ``compile`` currency may differ in parallel
-runs.)  Schedules are byte-identical across serial and parallel runs —
-asserted by ``tests/test_corpus.py`` and the fuzz oracle's ``batch``
-differential stage.
-
-Each serial run and each shard builds one
-:class:`~repro.scheduler.modulo.IterativeModuloScheduler` and reuses it
-for every loop: the scheduler holds no per-loop state, so its
-forbidden-latency matrix (the shared kernel's, in batch mode) is built
-once per run instead of once per loop.
+sharded deterministically.  Schedules and work counters are identical
+across serial and parallel runs (asserted by ``tests/test_corpus.py``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
 from repro.obs import trace as obs
-from repro.query.batch import SharedCompilation, machine_digest
-from repro.query.modulo import BATCH, make_query_module
-from repro.query.work import COMPILE, WorkCounters
+from repro.query.modulo import DISCRETE
+from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.scheduler.ddg import DependenceGraph
 from repro.scheduler.modulo import IterativeModuloScheduler
@@ -159,10 +135,8 @@ class CorpusScheduler:
     machine:
         Machine description every loop is scheduled against.
     representation:
-        ``"batch"`` (default: shared compilation + columnar plane) or
-        any per-loop representation (``"compiled"`` etc.), which runs
-        the exact PR-5 per-loop path under the same driver — the two
-        modes are the corpus differential's legs.
+        Query representation every loop is scheduled with (default
+        ``"discrete"``; see :func:`repro.query.make_query_module`).
     word_cycles / budget_ratio / max_ii_slack:
         Forwarded to the run's :class:`IterativeModuloScheduler`.
     policy:
@@ -178,7 +152,7 @@ class CorpusScheduler:
     def __init__(
         self,
         machine: MachineDescription,
-        representation: str = BATCH,
+        representation: str = DISCRETE,
         word_cycles: int = 1,
         budget_ratio: int = 6,
         max_ii_slack: int = 64,
@@ -206,10 +180,9 @@ class CorpusScheduler:
         boundary: a starved run keeps going, recording the remaining
         loops as failed outcomes.
         """
-        digest = machine_digest(self.machine)
         result = CorpusResult(
             machine_name=self.machine.name,
-            digest=digest,
+            digest=machine_digest(self.machine),
             representation=self.representation,
             processes=self.processes,
         )
@@ -224,9 +197,14 @@ class CorpusScheduler:
             processes=processes,
         ) as span:
             if processes > 1 and len(graphs) > 1:
-                self._schedule_parallel(graphs, processes, digest, result)
+                self._schedule_parallel(graphs, processes, result)
             else:
-                self._schedule_serial(graphs, budget, result)
+                outcomes, work = _schedule_graphs(
+                    self.machine, graphs, self.policy, self._loop_config(),
+                    budget,
+                )
+                result.outcomes.extend(outcomes)
+                result.work.merge(work)
             span.set(
                 scheduled=result.scheduled,
                 failed=result.failed,
@@ -243,54 +221,13 @@ class CorpusScheduler:
             "max_ii_slack": self.max_ii_slack,
         }
 
-    def _schedule_serial(
-        self,
-        graphs: Sequence[DependenceGraph],
-        budget: Optional[Budget],
-        result: CorpusResult,
-    ) -> None:
-        shared = _make_shared(self.machine, self.representation)
-        scheduler = _make_scheduler(self.machine, shared, self._loop_config())
-        pending_units = 0
-        for index, graph in enumerate(graphs):
-            try:
-                if budget is not None:
-                    # Loop-boundary checkpoint: charge the previous
-                    # loop's work, and let starvation land *between*
-                    # loops so each remaining loop fails cleanly.
-                    budget.checkpoint(
-                        "corpus", units=pending_units, progress=index
-                    )
-                    pending_units = 0
-                outcome, work = _schedule_one(
-                    scheduler, graph, self.policy, budget
-                )
-            except (BudgetExceeded, ScheduleError) as exc:
-                result.outcomes.append(LoopOutcome(
-                    name=graph.name,
-                    ops=graph.num_operations,
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                ))
-                continue
-            result.outcomes.append(outcome)
-            result.work.merge(work)
-            pending_units = work.total_units
-
     def _schedule_parallel(
         self,
         graphs: Sequence[DependenceGraph],
         processes: int,
-        digest: str,
         result: CorpusResult,
     ) -> None:
-        """Fan the suite out over a process pool, sharded round-robin.
-
-        Workers verify they rebuilt the *same* compilation (by machine
-        digest) and suppress compile charging; the parent charges the
-        kernel build once, so serial and parallel runs agree on every
-        query-path currency.
-        """
+        """Fan the suite out over a process pool, sharded round-robin."""
         processes = min(processes, len(graphs))
         shards = []
         for rank in range(processes):
@@ -299,7 +236,6 @@ class CorpusScheduler:
                 self.machine,
                 [graphs[i] for i in indices],
                 indices,
-                digest,
                 self.policy,
                 self._loop_config(),
             ))
@@ -311,66 +247,11 @@ class CorpusScheduler:
                 slots[index] = outcome
             result.work.merge(work)
         result.outcomes.extend(slots)
-        if self.representation == BATCH:
-            # Workers suppressed kernel charging; account it here, once.
-            kernel = SharedCompilation(self.machine).kernel
-            result.work.charge(COMPILE, kernel.build_units)
 
 
 # ----------------------------------------------------------------------
 # Per-loop machinery (module-level so multiprocessing can pickle it)
 # ----------------------------------------------------------------------
-def _make_shared(
-    machine: MachineDescription,
-    representation: str,
-    charge_compile: bool = True,
-) -> Optional[SharedCompilation]:
-    if representation != BATCH:
-        return None
-    return SharedCompilation(machine, charge_compile=charge_compile)
-
-
-def _make_factory(
-    machine: MachineDescription,
-    shared: Optional[SharedCompilation],
-) -> Optional[Callable[[Optional[int]], object]]:
-    """The per-II query-module factory corpus loops share.
-
-    ``None`` for per-loop representations — the schedulers' default
-    construction *is* the per-loop path, byte-for-byte.
-    """
-    if shared is None:
-        return None
-
-    def factory(modulo: Optional[int]):
-        return make_query_module(
-            machine, BATCH, modulo=modulo, shared=shared
-        )
-
-    return factory
-
-
-def _make_scheduler(
-    machine: MachineDescription,
-    shared: Optional[SharedCompilation],
-    config: dict,
-) -> IterativeModuloScheduler:
-    """The one IMS instance a serial run or a shard reuses for every loop.
-
-    In batch mode it reuses the shared kernel's forbidden-latency matrix,
-    so the run builds that matrix at most once.
-    """
-    return IterativeModuloScheduler(
-        machine,
-        representation=config["representation"],
-        word_cycles=config["word_cycles"],
-        budget_ratio=config["budget_ratio"],
-        max_ii_slack=config["max_ii_slack"],
-        matrix=None if shared is None else shared.kernel.matrix,
-        query_factory=_make_factory(machine, shared),
-    )
-
-
 def _schedule_one(
     scheduler: IterativeModuloScheduler,
     graph: DependenceGraph,
@@ -385,7 +266,6 @@ def _schedule_one(
             scheduler.machine, graph, policy,
             representation=scheduler.representation,
             word_cycles=scheduler.word_cycles,
-            query_factory=scheduler.query_factory,
             matrix=scheduler.matrix,
         )
         work = outcome.work if outcome.work is not None else WorkCounters()
@@ -410,24 +290,31 @@ def _schedule_one(
     ), result.work
 
 
-def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters]:
-    """One worker's share of the corpus (top-level for pickling)."""
-    machine, graphs, indices, digest, policy, config = payload
-    shared = _make_shared(
-        machine, config["representation"], charge_compile=False
-    )
-    if shared is not None and shared.digest != digest:
-        raise RuntimeError(
-            "corpus shard rebuilt a different machine: %s != %s"
-            % (shared.digest, digest)
-        )
-    scheduler = _make_scheduler(machine, shared, config)
+def _schedule_graphs(
+    machine: MachineDescription,
+    graphs: Sequence[DependenceGraph],
+    policy: Optional["FallbackPolicy"],
+    config: dict,
+    budget: Optional[Budget],
+) -> Tuple[List[LoopOutcome], WorkCounters]:
+    """Schedule ``graphs`` in order with one scheduler; a loop that
+    raises is recorded as a failed outcome."""
+    scheduler = IterativeModuloScheduler(machine, **config)
     outcomes: List[LoopOutcome] = []
     work = WorkCounters()
-    for graph in graphs:
+    pending_units = 0
+    for index, graph in enumerate(graphs):
         try:
+            if budget is not None:
+                # Loop-boundary checkpoint: charge the previous loop's
+                # work, and let starvation land *between* loops so each
+                # remaining loop fails cleanly.
+                budget.checkpoint(
+                    "corpus", units=pending_units, progress=index
+                )
+                pending_units = 0
             outcome, loop_work = _schedule_one(
-                scheduler, graph, policy, None
+                scheduler, graph, policy, budget
             )
         except (BudgetExceeded, ScheduleError) as exc:
             outcomes.append(LoopOutcome(
@@ -439,6 +326,14 @@ def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters
             continue
         outcomes.append(outcome)
         work.merge(loop_work)
+        pending_units = loop_work.total_units
+    return outcomes, work
+
+
+def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters]:
+    """One worker's share of the corpus (top-level for pickling)."""
+    machine, graphs, indices, policy, config = payload
+    outcomes, work = _schedule_graphs(machine, graphs, policy, config, None)
     return indices, outcomes, work
 
 

@@ -62,6 +62,9 @@ class DependenceGraph:
         self._edges: List[Dependence] = []
         self._succs: Dict[str, List[Dependence]] = {}
         self._preds: Dict[str, List[Dependence]] = {}
+        #: Memoized :meth:`is_acyclic` answer; ``None`` until asked, and
+        #: reset by every mutation.
+        self._acyclic: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -77,6 +80,7 @@ class DependenceGraph:
         self._operations[name] = op
         self._succs[name] = []
         self._preds[name] = []
+        self._acyclic = None
         return op
 
     def add_dependence(
@@ -103,6 +107,7 @@ class DependenceGraph:
         self._edges.append(edge)
         self._succs[src].append(edge)
         self._preds[dst].append(edge)
+        self._acyclic = None
         return edge
 
     # ------------------------------------------------------------------
@@ -149,8 +154,13 @@ class DependenceGraph:
     # ------------------------------------------------------------------
     def is_acyclic(self) -> bool:
         """True when ignoring distances the intra-iteration edges (distance
-        0) form a DAG — required of any real dependence graph."""
-        return self.topological_order() is not None
+        0) form a DAG — required of any real dependence graph.
+
+        The answer is cached until the graph changes, so validating a
+        loop and computing its RecMII share one topological sort."""
+        if self._acyclic is None:
+            self._acyclic = self.topological_order() is not None
+        return self._acyclic
 
     def topological_order(self) -> Optional[List[str]]:
         """Topological order over distance-0 edges, or None on a cycle."""

@@ -16,7 +16,7 @@ then scheduled around them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
@@ -68,7 +68,6 @@ class OperationDrivenScheduler:
         horizon_slack: int = 256,
         alternative_policy: str = FIRST_FIT,
         budget_ratio: Optional[int] = None,
-        query_factory: Optional[Callable[[Optional[int]], object]] = None,
     ):
         self.machine = machine
         self.representation = representation
@@ -80,14 +79,8 @@ class OperationDrivenScheduler:
         #: forced via ``assign&free``, evicting conflictors, within a
         #: budget of ``budget_ratio * N`` placements.
         self.budget_ratio = budget_ratio
-        #: Optional ``modulo -> ContentionQueryModule`` callable (block
-        #: scheduling always passes ``None``); corpus drivers inject
-        #: shared-compilation batch modules through it.
-        self.query_factory = query_factory
 
     def _make_query_module(self):
-        if self.query_factory is not None:
-            return self.query_factory(None)
         return make_query_module(
             self.machine,
             representation=self.representation,

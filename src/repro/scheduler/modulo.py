@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
@@ -162,12 +162,6 @@ class IterativeModuloScheduler:
         values live as briefly as possible).  Both produce legal
         schedules; they trade scheduling freedom against register
         pressure — see ``benchmarks/test_ablation_lifetime.py``.
-    query_factory:
-        Optional ``modulo -> ContentionQueryModule`` callable replacing
-        the default :func:`~repro.query.make_query_module` per-attempt
-        construction.  Corpus drivers inject shared-compilation batch
-        modules through it (see :mod:`repro.scheduler.corpus`); the
-        factory must return a fresh, empty module per call.
     """
 
     def __init__(
@@ -180,7 +174,6 @@ class IterativeModuloScheduler:
         matrix: Optional[ForbiddenLatencyMatrix] = None,
         alternative_policy: str = FIRST_FIT,
         placement_policy: str = "earliest",
-        query_factory: Optional[Callable[[Optional[int]], object]] = None,
     ):
         self.machine = machine
         self.representation = representation
@@ -189,7 +182,6 @@ class IterativeModuloScheduler:
         self.max_ii_slack = max_ii_slack
         self.matrix = matrix or ForbiddenLatencyMatrix.from_machine(machine)
         self.alternative_policy = alternative_policy
-        self.query_factory = query_factory
         if placement_policy not in ("earliest", "lifetime"):
             raise ScheduleError(
                 "unknown placement policy %r" % placement_policy,
@@ -278,15 +270,12 @@ class IterativeModuloScheduler:
         self, graph: DependenceGraph, ii: int, work: WorkCounters,
         budget_obj=None,
     ) -> "IterativeModuloScheduler._Attempt":
-        if self.query_factory is not None:
-            qm = self.query_factory(ii)
-        else:
-            qm = make_query_module(
-                self.machine,
-                representation=self.representation,
-                word_cycles=self.word_cycles,
-                modulo=ii,
-            )
+        qm = make_query_module(
+            self.machine,
+            representation=self.representation,
+            word_cycles=self.word_cycles,
+            modulo=ii,
+        )
         qm.alternative_policy = self.alternative_policy
         heights = compute_heights(graph, ii)
         names = [op.name for op in graph.operations()]

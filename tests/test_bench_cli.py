@@ -63,8 +63,7 @@ class TestBenchRun:
         assert document["config"]["quick"] is True
         assert set(document["cases"]) == {
             "paper-example/discrete", "paper-example/bitvector",
-            "paper-example/compiled",
-            "paper-example/corpus-batch", "paper-example/corpus-perloop",
+            "paper-example/compiled", "paper-example/corpus",
         }
         assert document["config"]["corpus_loops"] == 8
 

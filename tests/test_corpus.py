@@ -1,12 +1,11 @@
-"""The corpus driver: one shared kernel, a whole loop suite, one pass.
+"""The corpus driver: a whole loop suite, one pass, one scheduler.
 
-The headline contract is *constraint preservation at corpus scale*: the
-batch representation must reproduce the per-loop compiled path's
-schedules signature-for-signature while spending strictly less
-check-path work and charging ``compile`` once per machine digest.  The
-satellite contracts ride along — budget starvation stays loop-local,
-the fallback ladder degrades loops without sinking the corpus, and the
-multiprocessing fan-out replays the serial schedules exactly.
+The headline contract is that a corpus loop runs exactly the code a
+loop scheduled alone runs: the same schedule and the same work
+counters.  The other contracts ride along — any representation replays
+the same schedules, budget starvation stays loop-local, the fallback
+ladder degrades loops without sinking the corpus, and the
+multiprocessing fan-out replays the serial schedules and work exactly.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.cli import main
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.machines import cydra5_subset, example_machine
 from repro.obs import trace as obs
-from repro.query.compiled import clear_kernel_cache
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.resilience.fallback import RUNG_IMS as FALLBACK_RUNG_IMS
@@ -26,6 +24,7 @@ from repro.scheduler.corpus import (
     LoopOutcome,
     schedule_signature,
 )
+from repro.scheduler.modulo import IterativeModuloScheduler
 from repro.workloads import loop_suite
 
 CHECK_PATH = ("check", "check_range", "first_free", "batch")
@@ -73,24 +72,40 @@ def test_rung_ims_pin_matches_fallback_module():
     assert corpus_module.RUNG_IMS == FALLBACK_RUNG_IMS
 
 
+class TestSameAsSingleLoop:
+    def test_corpus_loop_runs_the_single_loop_path(self, machine, suite):
+        corpus = CorpusScheduler(machine).schedule_suite(suite)
+        assert corpus.representation == "discrete"
+        assert corpus.failed == 0
+        work = WorkCounters()
+        signatures = []
+        for graph in suite:
+            result = IterativeModuloScheduler(machine).schedule(graph)
+            signatures.append(schedule_signature(
+                result.ii, result.times, result.chosen_opcodes
+            ))
+            work.merge(result.work)
+        assert corpus.signatures() == signatures
+        assert dict(corpus.work.units) == dict(work.units)
+        assert dict(corpus.work.calls) == dict(work.calls)
+
+
 class TestBatchMatchesPerLoop:
     def test_batch_replays_compiled_schedules_for_less_work(
         self, machine, suite
     ):
-        batch = CorpusScheduler(machine).schedule_suite(suite)
+        batch = CorpusScheduler(
+            machine, representation="batch"
+        ).schedule_suite(suite)
         perloop = CorpusScheduler(
             machine, representation="compiled"
         ).schedule_suite(suite)
 
-        assert batch.representation == "batch"
         assert batch.failed == 0 and perloop.failed == 0
         assert batch.signatures() == perloop.signatures()
-
         assert _check_path_units(batch.work) < _check_path_units(
             perloop.work
         )
-        # One kernel build for the whole corpus vs one per II attempt.
-        assert batch.work.units["compile"] < perloop.work.units["compile"]
 
     def test_digest_is_the_machine_content_hash(self, machine, suite):
         result = CorpusScheduler(machine).schedule_suite(suite[:2])
@@ -102,13 +117,10 @@ class TestBatchMatchesPerLoop:
 
 class TestSchedulerReuse:
     @pytest.mark.parametrize(
-        "representation, fallback",
-        (("batch", False), ("discrete", False),
-         ("batch", True), ("discrete", True)),
-        ids=("batch", "discrete", "batch-fallback", "discrete-fallback"),
+        "fallback", (False, True), ids=("discrete", "discrete-fallback")
     )
     def test_serial_run_builds_the_forbidden_matrix_once(
-        self, machine, suite, monkeypatch, representation, fallback
+        self, machine, suite, monkeypatch, fallback
     ):
         """One IMS per run: the matrix is not rebuilt for every loop, nor
         for every rung of the fallback ladder."""
@@ -120,15 +132,11 @@ class TestSchedulerReuse:
             built.append(description.name)
             return build(description, *args, **kwargs)
 
-        # A cold kernel cache, so batch mode pays its one build here.
-        clear_kernel_cache()
         monkeypatch.setattr(
             ForbiddenLatencyMatrix, "from_machine", staticmethod(counting)
         )
         result = CorpusScheduler(
-            machine,
-            representation=representation,
-            policy=FallbackPolicy() if fallback else None,
+            machine, policy=FallbackPolicy() if fallback else None
         ).schedule_suite(graphs)
         assert result.failed == 0
         assert built == [machine.name]
@@ -137,9 +145,9 @@ class TestSchedulerReuse:
 class TestBudget:
     def test_starvation_is_loop_local(self, machine, suite):
         graphs = suite[:8]
-        # Room for the first loops (the 8-loop suite costs ~3000 units)
+        # Room for the first loops (the 8-loop suite costs ~7800 units)
         # but not the whole corpus: starvation must land mid-suite.
-        budget = Budget(max_units=2000, label="corpus-test")
+        budget = Budget(max_units=6000, label="corpus-test")
         result = CorpusScheduler(machine).schedule_suite(
             graphs, budget=budget
         )
@@ -196,12 +204,7 @@ class TestParallel:
         )
         assert parallel.failed == 0
         assert parallel.signatures() == serial.signatures()
-        # Workers re-derive per-II folds, so only the compile currency
-        # may legitimately differ between serial and parallel runs.
-        for currency, units in serial.work.units.items():
-            if currency == "compile":
-                continue
-            assert parallel.work.units[currency] == units, currency
+        assert dict(parallel.work.units) == dict(serial.work.units)
         assert dict(parallel.work.calls) == dict(serial.work.calls)
 
 
@@ -212,7 +215,6 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "corpus: 6 scheduled" in out
-        assert "batch plane:" in out
 
     def test_schedule_corpus_perloop_representation(self, capsys):
         assert main(

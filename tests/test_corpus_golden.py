@@ -1,21 +1,16 @@
 """Golden pins for the corpus driver on the full 1327-loop suite.
 
 Each case schedules ``loop_suite(1327, seed)`` against the reduced
-cydra5-subset description through :class:`CorpusScheduler` (the
-``batch`` representation: one shared compilation, columnar window
-scans) and pins:
+cydra5-subset description through :class:`CorpusScheduler` (its default
+``discrete`` representation, the path a loop scheduled alone takes) and
+pins:
 
 * the sha256 of ``repr(result.signatures())`` — every loop's II,
   placements and chosen alternatives, in suite order;
 * the exact ``work.units`` and ``work.calls`` maps of the merged run.
 
-A second set of cases runs the same suite under ``discrete`` (the
-per-loop path) and pins its digest (the same one: the representation
-never changes a schedule) and its exact unit and call maps.
-
-Any rewrite of the batch plane or the corpus driver must keep both
-byte-identical: schedules and the ``batch`` charge rule are the
-contract, the column store behind them is not.
+Any rewrite of the corpus driver, the scheduler or the discrete query
+module must keep both byte-identical.
 """
 
 from __future__ import annotations
@@ -32,26 +27,11 @@ from repro.workloads import loop_suite
 GOLDEN = {
     0: (
         "893695dd745243a3a5581ccb334eb505f6f53201bf46b94ab3d4fc663380b88c",
-        {"assign&free": 42550, "batch": 21275, "compile": 8326,
-         "free": 3536},
-        {"assign&free": 21275, "batch": 21275, "compile": 4672,
-         "free": 1768},
-    ),
-    7919: (
-        "234e6c3ba2075e3c68a23cc120786df20bc273a527ec65db2da4b894168e8487",
-        {"assign&free": 43136, "batch": 21568, "compile": 8992,
-         "free": 2750},
-        {"assign&free": 21568, "batch": 21568, "compile": 5040,
-         "free": 1375},
-    ),
-}
-
-DISCRETE_GOLDEN = {
-    0: (
         {"check": 90783, "assign&free": 45833, "free": 1832},
         {"check": 64934, "assign&free": 21275, "free": 1768},
     ),
     7919: (
+        "234e6c3ba2075e3c68a23cc120786df20bc273a527ec65db2da4b894168e8487",
         {"check": 93540, "assign&free": 46913, "free": 1414},
         {"check": 66907, "assign&free": 21568, "free": 1375},
     ),
@@ -67,19 +47,7 @@ def reduced():
 def test_corpus_suite_is_pinned(reduced, seed):
     digest, units, calls = GOLDEN[seed]
     result = CorpusScheduler(reduced).schedule_suite(loop_suite(1327, seed))
-    signatures = repr(result.signatures()).encode("utf-8")
-    assert hashlib.sha256(signatures).hexdigest() == digest
-    assert dict(result.work.units) == units
-    assert dict(result.work.calls) == calls
-
-
-@pytest.mark.parametrize("seed", sorted(DISCRETE_GOLDEN))
-def test_discrete_corpus_suite_is_pinned(reduced, seed):
-    digest = GOLDEN[seed][0]
-    units, calls = DISCRETE_GOLDEN[seed]
-    result = CorpusScheduler(
-        reduced, representation="discrete"
-    ).schedule_suite(loop_suite(1327, seed))
+    assert result.representation == "discrete"
     signatures = repr(result.signatures()).encode("utf-8")
     assert hashlib.sha256(signatures).hexdigest() == digest
     assert dict(result.work.units) == units

@@ -60,15 +60,12 @@ def _drop_last_usage(machine):
     )
 
 
-def _flip_first_signature(signatures):
-    """Known-bad transform: corrupt the batch leg's first corpus
-    signature, simulating a batch plane that silently mis-schedules."""
-    signatures = list(signatures)
-    if signatures[0] == ("schedule-error",):
-        signatures[0] = (1, (), ())
-    else:
-        signatures[0] = ("schedule-error",)
-    return signatures
+def _flip_signature(signature):
+    """Known-bad transform: corrupt a ``batch`` schedule outcome,
+    simulating a batch module that silently mis-schedules."""
+    if signature[0] == "schedule-error":
+        return (1, (), ())
+    return ("schedule-error", "flipped")
 
 
 class TestGenerator:
@@ -150,24 +147,24 @@ class TestOracle:
         outcome = run_oracle(machine, 4, OracleConfig(), profile="tiny")
         json.dumps(outcome.to_dict())
 
-    def test_corpus_divergence_hook_is_a_bug_with_stable_fingerprint(self):
+    def test_batch_divergence_hook_is_a_bug_with_stable_fingerprint(self):
         machine = generate_machine(2, PROFILES["tiny"])
-        config = OracleConfig(mutate_corpus_signatures=_flip_first_signature)
+        config = OracleConfig(mutate_batch_signature=_flip_signature)
         outcome = run_oracle(machine, 2, config, profile="tiny")
         assert outcome.verdict == VERDICT_BUG
-        assert outcome.fingerprint == "divergence:batch"
-        assert outcome.stage == "batch"
-        assert "workload" in outcome.detail
+        assert outcome.fingerprint == "divergence:schedule"
+        assert outcome.stage == "schedule"
+        assert "'batch')" in outcome.detail
 
-    def test_starved_corpus_stage_forfeits_not_bug(self):
-        from repro.fuzz.oracle import _differential_corpus
+    def test_starved_schedule_stage_forfeits_not_bug(self):
+        from repro.fuzz.oracle import _differential_schedules
 
         machine = generate_machine(2, PROFILES["tiny"])
         handled = []
-        _differential_corpus(
-            machine, 2, OracleConfig(max_units=1), handled
+        _differential_schedules(
+            machine, machine, 2, OracleConfig(max_units=1), handled
         )
-        assert handled == ["budget:corpus"]
+        assert handled == ["budget:ims", "budget:ims"]
 
 
 class TestShrinker:
@@ -188,16 +185,17 @@ class TestShrinker:
 
     def test_batch_fingerprint_survives_shrinking(self):
         machine = generate_machine(2, PROFILES["tiny"])
-        config = OracleConfig(mutate_corpus_signatures=_flip_first_signature)
+        config = OracleConfig(mutate_batch_signature=_flip_signature)
         result = shrink(
-            machine, 2, "divergence:batch",
+            machine, 2, "divergence:schedule",
             config=config, profile="tiny", max_attempts=60,
         )
-        assert result.fingerprint == "divergence:batch"
+        assert result.fingerprint == "divergence:schedule"
         assert result.machine.total_usages <= machine.total_usages
         again = run_oracle(result.machine, 2, config, profile="tiny")
         assert again.verdict == VERDICT_BUG
-        assert again.fingerprint == "divergence:batch"
+        assert again.fingerprint == "divergence:schedule"
+        assert "'batch')" in again.detail
 
     def test_precondition_failure_raises(self):
         machine = generate_machine(0, PROFILES["tiny"])

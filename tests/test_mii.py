@@ -98,7 +98,17 @@ class TestRecMII:
         g.add_operation("b", "op")
         g.add_dependence("a", "b", 1)
         g.add_dependence("b", "a", 1)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="zero-distance dependence"):
+            rec_mii(g)
+
+    def test_cycle_closed_after_a_check_is_rejected(self):
+        g = DependenceGraph("late")
+        g.add_operation("a", "op")
+        g.add_operation("b", "op")
+        g.add_dependence("a", "b", 1)
+        assert rec_mii(g) == 1
+        g.add_dependence("b", "a", 1)
+        with pytest.raises(ScheduleError, match="zero-distance dependence"):
             rec_mii(g)
 
 

@@ -73,6 +73,23 @@ class TestKernels:
         result = subset_scheduler.schedule(KERNELS["inner-product"]())
         assert result.mii >= 5  # fadd_s latency on the accumulator
 
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_one_topological_sort_per_schedule(
+        self, subset_scheduler, monkeypatch, kernel
+    ):
+        """Validation and RecMII share one sort of the loop's graph."""
+        sort = DependenceGraph.topological_order
+        sorts = []
+
+        def counting(graph):
+            sorts.append(graph.name)
+            return sort(graph)
+
+        monkeypatch.setattr(DependenceGraph, "topological_order", counting)
+        graph = KERNELS[kernel]()
+        subset_scheduler.schedule(graph)
+        assert sorts == [graph.name]
+
 
 class TestRepresentationsAgree:
     """The paper verified identical schedules regardless of description;

@@ -27,11 +27,9 @@ from repro.query import (
     CompiledQueryModule,
     make_query_module,
 )
-from repro.query.batch import (
-    BatchQueryModule,
-    SharedCompilation,
-    machine_digest,
-)
+from repro.core.certificate import machine_digest
+from repro.query.batch import BatchQueryModule
+from repro.query.compiled import compiled_kernel
 
 RESOURCES = ["r0", "r1", "r2"]
 OPS = ["opA", "opB"]
@@ -262,15 +260,8 @@ class TestBulkEntryPoints:
 
 
 class TestSharedCompilation:
-    def test_compile_charged_once_per_corpus(self):
-        machine = cydra5_subset()
-        shared = SharedCompilation(machine)
-        first = BatchQueryModule(machine, modulo=7, shared=shared)
-        second = BatchQueryModule(machine, modulo=9, shared=shared)
-        third = BatchQueryModule(machine, modulo=7, shared=shared)
-        assert first.work.calls[COMPILE] >= 1
-        assert second.work.units[COMPILE] < first.work.units[COMPILE]
-        assert third.work.units[COMPILE] < first.work.units[COMPILE]
+    """Every module of a machine draws the one memoized compiled kernel
+    and charges its build per construction, like the compiled module."""
 
     def test_unshared_module_charges_like_compiled(self):
         machine = cydra5_subset()
@@ -278,31 +269,16 @@ class TestSharedCompilation:
         compiled = CompiledQueryModule(machine, modulo=7)
         assert batch.work.units[COMPILE] == compiled.work.units[COMPILE]
 
-    def test_charge_compile_false_never_charges_kernel(self):
-        machine = cydra5_subset()
-        shared = SharedCompilation(machine, charge_compile=False)
-        module = BatchQueryModule(machine, modulo=7, shared=shared)
-        reference = BatchQueryModule(
-            machine, modulo=7, shared=SharedCompilation(machine)
-        )
-        assert module.work.units[COMPILE] < (
-            reference.work.units[COMPILE]
-        )
-        assert not shared.mark_kernel_charged()
-
     def test_digest_is_content_addressed(self):
         a = cydra5_subset()
         b = cydra5_subset()
         assert a is not b
         assert machine_digest(a) == machine_digest(b)
         assert machine_digest(a) != machine_digest(example_machine())
-        assert SharedCompilation(a).digest == machine_digest(a)
+        assert compiled_kernel(a) is compiled_kernel(b)
 
     def test_make_query_module_builds_batch(self):
         machine = cydra5_subset()
-        shared = SharedCompilation(machine)
-        module = make_query_module(
-            machine, BATCH, modulo=6, shared=shared
-        )
+        module = make_query_module(machine, BATCH, modulo=6)
         assert isinstance(module, BatchQueryModule)
-        assert module.shared is shared
+        assert module._kernel is compiled_kernel(machine)
