@@ -63,7 +63,7 @@ INVOCATIONS = {
     "schedule cydra5-subset --loops 6 --fallback": (
         "cb267f135c51ea4a", "e3b0c44298fc1c14", 0),
     "schedule cydra5-subset --loops 8 --corpus": (
-        "495e60851ca74d7f", "e3b0c44298fc1c14", 0),
+        "d7cebaa2a807c9f3", "e3b0c44298fc1c14", 0),
     "show alpha21064": (
         "dfd205df9a9d2b46", "e3b0c44298fc1c14", 0),
     "show buffered-pu": (
@@ -99,7 +99,7 @@ RECORDS = {
     "explain cydra5-subset --loops 3":
         "be597466a7823064",
     "fuzz --seed 0 --runs 2":
-        "bce21282cca520fd",
+        "774471c90b53cf03",
     "profile cydra5-subset --kernel daxpy":
         "fd4998ba0f058751",
     "reduce example":
@@ -107,13 +107,13 @@ RECORDS = {
     "reduce example --max-units 100000":
         "6542a9f66d0b6fdc",
     "schedule cydra5-subset --kernel daxpy":
-        "4fb3567fdc1ef311",
+        "d453c8a1accb1fa1",
     "schedule cydra5-subset --kernel daxpy --max-units 5":
-        "6fdd2f7587f2b0cc",
+        "bbc247942c6b4f10",
     "schedule cydra5-subset --loops 3 --fallback":
-        "4bea28650e7a0a15",
+        "39f3d953e1ffe8f5",
     "schedule cydra5-subset --loops 4 --corpus":
-        "efea1d63a4f2f89f",
+        "baa02662662e4ced",
 }
 
 #: argv (``--metrics -`` appended) -> the metrics document's ``meta``.
@@ -157,7 +157,7 @@ METRICS_META = {
         "command": "schedule",
         "kernel": "suite[4]",
         "machine": "cydra5-subset",
-        "representation": "batch",
+        "representation": "discrete",
     },
 }
 
